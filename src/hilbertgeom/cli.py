@@ -90,11 +90,11 @@ def cmd_area(args) -> int:
     try:
         domain = _load_domain(args.spec)
         tri = make_ideal_triangle(domain, *args.params)
+        if not tri.validity:
+            return _fail_usage(f"invalid ideal triangle: {tri.invalid_reason}")
+        est = ideal_triangle_area(domain, tri, tol=args.tol)
     except (GeometryError, OSError, ValueError) as exc:
         return _fail_usage(str(exc))
-    if not tri.validity:
-        return _fail_usage(f"invalid ideal triangle: {tri.invalid_reason}")
-    est = ideal_triangle_area(domain, tri, tol=args.tol)
     _emit(json.dumps(est.to_jsonable()), args.out)
     return EXIT_OK
 
@@ -219,6 +219,8 @@ def _resolve_defaults(args) -> None:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
     args.budget_raw = args.budget if args.budget is not None else config.get("budget")
     if args.tol is None:
         args.tol = float(config.get("tol", _DEFAULT_TOL))
@@ -226,6 +228,8 @@ def _resolve_defaults(args) -> None:
         args.budget = int(config.get("budget", _DEFAULT_BUDGET))
     if args.seed is None:
         args.seed = int(config.get("seed", _DEFAULT_SEED))
+    if not args.tol > 0.0:
+        raise ValueError("tol must be positive")
 
 
 def main(argv=None) -> int:
@@ -233,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_defaults(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         return _fail_usage(str(exc))
     return args.func(args)
 

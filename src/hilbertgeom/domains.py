@@ -287,25 +287,32 @@ class ConvexDomain:
         relative terms.  The gauge is convex along the outward ray, so the
         iteration is kept inside [0, hi] and simply stalls if the gradient
         degenerates.
+
+        Each row stops on its own: once its step is at most 1e-16 relative
+        it keeps that step's value and leaves the batch, so the gauge and its
+        gradient are evaluated only on the rows still moving.
         """
-        probe = self.gauge_grad(P)
-        if probe is None:
+        if self.gauge_grad(P[:1]) is None:
             return t
+        t = t.copy()
+        rows = np.arange(len(t))
+        t_r, P_r, U_r, hi_r = t, P, U, hi
         for _ in range(_NEWTON_ITERS):
-            X = P + t[:, None] * U
+            X = P_r + t_r[:, None] * U_r
             g = self.gauge(X)
             grad = self.gauge_grad(X)
-            slope = np.einsum("ij,ij->i", grad, U)
+            slope = np.einsum("ij,ij->i", grad, U_r)
             ok = slope > 0.0
             # a non-positive slope means the iterate sits before the gauge's
             # line minimum along the ray; restart that ray from the outer
             # bracket, where convexity guarantees monotone descent
-            t_new = np.where(ok, t - g / np.where(ok, slope, 1.0), hi)
-            t_new = np.clip(t_new, 0.0, hi)
-            if np.all(np.abs(t_new - t) <= 1e-16 * (1.0 + t)):
-                t = t_new
+            t_new = np.where(ok, t_r - g / np.where(ok, slope, 1.0), hi_r)
+            t_new = np.clip(t_new, 0.0, hi_r)
+            moving = np.abs(t_new - t_r) > 1e-16 * (1.0 + t_r)
+            t[rows] = t_new
+            if not moving.any():
                 break
-            t = t_new
+            rows, t_r, P_r, U_r, hi_r = rows[moving], t_new[moving], P_r[moving], U_r[moving], hi_r[moving]
         return t
 
     def ray_hits_both(self, P, V):
@@ -823,9 +830,22 @@ def polygon_area(V) -> float:
 
 
 def domain_from_spec(spec: dict) -> ConvexDomain:
-    """Build a domain from its JSON-style description."""
+    """Build a domain from its JSON-style description.
+
+    A malformed spec (not an object, unknown type, missing field, field of
+    the wrong type) raises ``ValueError``.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("domain spec must be an object with a 'type' field")
+    try:
+        return _domain_from_fields(spec)
+    except KeyError as exc:
+        raise ValueError(f"domain spec of type {spec['type']!r} is missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"domain spec of type {spec['type']!r} has a field of the wrong type: {exc}") from None
+
+
+def _domain_from_fields(spec: dict) -> ConvexDomain:
     kind = spec["type"]
     if kind == "pball":
         return PBall(spec["p"], spec.get("center", (0.0, 0.0)), spec.get("scale", 1.0))

@@ -128,6 +128,12 @@ def unit_ball_areas(
     parameterization the integrand is a*b / F(p, u(psi))^2 with u the
     unnormalized warped direction, constant whenever the ball is the frame
     ellipse itself.
+
+    The Finsler ball is centrally symmetric: u(psi + pi) = -u(psi), and the
+    integrand there is the same value with the two chord hits swapped.  So
+    only the first half-circle of directions is cast (each chord once, both
+    hits from ``ray_hits_both``), and each node carries the Simpson weights
+    of both psi and psi + pi.
     """
     P = as_points(P)
     if n_dirs < 16:
@@ -137,21 +143,22 @@ def unit_ball_areas(
     if validate and np.any(domain.gauge(P) >= 0.0):
         raise PointNotInterior("point not interior")
     m = len(P)
+    half = n_dirs // 2
     tau, nin, a, b = ball_frames(domain, P, warp=warp)
-    psi = np.arange(n_dirs) * (2.0 * np.pi / n_dirs)
+    psi = np.arange(half) * (2.0 * np.pi / n_dirs)
     cs, sn = np.cos(psi), np.sin(psi)
     # warped directions u[i, k] = a_i cos(psi_k) tau_i + b_i sin(psi_k) n_i
     U = (
         (a[:, None] * cs[None, :])[:, :, None] * tau[:, None, :]
         + (b[:, None] * sn[None, :])[:, :, None] * nin[:, None, :]
-    ).reshape(m * n_dirs, 2)
-    Pr = np.repeat(P, n_dirs, axis=0)
+    ).reshape(m * half, 2)
+    Pr = np.repeat(P, half, axis=0)
     tp, tm = domain.ray_hits_both(Pr, U)
     speed = np.hypot(U[:, 0], U[:, 1])
     F = 0.5 * speed * (1.0 / np.maximum(tp, _TINY) + 1.0 / np.maximum(tm, _TINY))
-    integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, n_dirs) ** 2)
+    integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, half) ** 2)
     w = _simpson_weights(n_dirs)
-    return 0.5 * integrand @ w
+    return 0.5 * integrand @ (w[:half] + w[half:])
 
 
 def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96, warp: bool = True) -> float:

@@ -273,7 +273,6 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
                                 bound_margin=0.0, non_strictly_convex=True)
     H = qsc_constant(f)
     if not np.isfinite(H):
-        H2, alpha = chain_constants(1.0, a)
         return RegularityReport(H=math.inf, K=math.inf, H2=math.inf, alpha=1.0,
                                 M=float(max(strip.f[(n - 1) // 4], strip.f[3 * ((n - 1) // 4)])),
                                 bound_margin=-math.inf, non_strictly_convex=True)

@@ -149,3 +149,30 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     path = tmp_path / "d.txt"
     assert main(argv + ["--out", str(path)]) == 0
     assert path.read_text() == stdout_text
+
+
+def test_area_spec_missing_key_exits_2(capsys):
+    code, _, err = _run(capsys, ["area", "--spec", '{"type":"pball"}', "0", "1", "2"])
+    assert code == 2
+    assert "missing field 'p'" in err
+
+
+def test_area_spec_wrong_field_type_exits_2(capsys):
+    spec = '{"type": "pball", "p": 2, "scale": "x"}'
+    code, _, err = _run(capsys, ["area", "--spec", spec, "0", "1", "2"])
+    assert code == 2
+    assert "wrong type" in err
+
+
+def test_config_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = _run(capsys, ["dist", "--spec", DISK_SPEC, "0", "0", "0.5", "0", "--config", str(cfg)])
+    assert code == 2
+    assert "JSON object" in err
+
+
+def test_area_zero_tol_exits_2(capsys):
+    code, _, err = _run(capsys, ["area", "--spec", DISK_SPEC, "0", "1", "2", "--tol", "0"])
+    assert code == 2
+    assert "tol must be positive" in err

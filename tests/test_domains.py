@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertgeom.domains import (
+    _NEWTON_ITERS,
+    ConvexDomain,
     Ellipse,
     Line2,
     PBall,
@@ -181,12 +183,47 @@ def test_regular_polygon_geometry():
     theta=st.floats(min_value=0.0, max_value=2.0 * np.pi),
     radial=st.floats(min_value=0.0, max_value=0.95),
 )
+@example(p=1.0, theta=0.0, radial=0.875)
 def test_pball_ray_boundary_property(p, theta, radial):
     dom = PBall(p)
-    start = radial * np.array([np.cos(theta + 1.0), np.sin(theta + 1.0)])
-    start = start * 0.9  # keep strictly interior for extreme p
+    d = np.array([np.cos(theta + 1.0), np.sin(theta + 1.0)])
+    # a fraction of the way to the boundary point in direction d: the ball is
+    # star-shaped about its center, so this is strictly interior for every p
+    boundary = d / (np.abs(d[0]) ** p + np.abs(d[1]) ** p) ** (1.0 / p)
+    start = 0.9 * radial * boundary
     u = np.array([[np.cos(theta), np.sin(theta)]])
     t = dom.ray_hits(start[None], u)[0]
     hit = start + t * u[0]
     assert t > 0.0
     assert abs(dom.gauge(hit[None])[0]) <= 1e-6
+
+
+def _reference_newton_polish(self, P, U, t, hi):
+    """The all-rows Newton loop the per-row version replaced: every row steps
+    until all rows have converged, for at most the same number of steps."""
+    if self.gauge_grad(P) is None:
+        return t
+    for _ in range(_NEWTON_ITERS):
+        X = P + t[:, None] * U
+        g = self.gauge(X)
+        slope = np.einsum("ij,ij->i", self.gauge_grad(X), U)
+        ok = slope > 0.0
+        t_new = np.clip(np.where(ok, t - g / np.where(ok, slope, 1.0), hi), 0.0, hi)
+        if np.all(np.abs(t_new - t) <= 1e-16 * (1.0 + t)):
+            return t_new
+        t = t_new
+    return t
+
+
+def test_ray_hits_match_all_rows_newton(equivalence_domains, monkeypatch):
+    rng = np.random.default_rng(RNG_SEED)
+    cases = []
+    for name, (dom, P, tol) in equivalence_domains.items():
+        theta = rng.uniform(0.0, 2.0 * np.pi, len(P))
+        U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        cases.append((name, dom, P, tol, U, dom.ray_hits(P, U)))
+    monkeypatch.setattr(ConvexDomain, "_newton_polish", _reference_newton_polish)
+    for name, dom, P, tol, U, t in cases:
+        ref = dom.ray_hits(P, U)
+        assert np.all(np.abs(t - ref) <= tol * ref), name
+        assert np.max(np.abs(dom.gauge(P + t[:, None] * U))) <= 1e-10, name

@@ -9,11 +9,14 @@ from hilbertgeom.domains import PBall, Polygon, unit_disk
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     QuadratureEstimate,
+    _simpson_weights,
     ball_area,
+    ball_frames,
     densities,
     density,
     region_area,
     unit_ball_area,
+    unit_ball_areas,
 )
 
 
@@ -125,3 +128,28 @@ def test_quadrature_estimate_roundtrip():
     blob = est.to_jsonable()
     back = QuadratureEstimate.from_jsonable(blob)
     assert back == est
+
+
+def _reference_unit_ball_areas(domain, P, n_dirs, warp):
+    """The full-circle Simpson sum the half-circle version replaced: every
+    warped direction of the circle is cast on its own."""
+    m = len(P)
+    tau, nin, a, b = ball_frames(domain, P, warp=warp)
+    psi = np.arange(n_dirs) * (2.0 * np.pi / n_dirs)
+    U = (
+        (a[:, None] * np.cos(psi)[None, :])[:, :, None] * tau[:, None, :]
+        + (b[:, None] * np.sin(psi)[None, :])[:, :, None] * nin[:, None, :]
+    ).reshape(m * n_dirs, 2)
+    tp, tm = domain.ray_hits_both(np.repeat(P, n_dirs, axis=0), U)
+    F = 0.5 * np.hypot(U[:, 0], U[:, 1]) * (1.0 / tp + 1.0 / tm)
+    integrand = (a * b)[:, None] / F.reshape(m, n_dirs) ** 2
+    return 0.5 * integrand @ _simpson_weights(n_dirs)
+
+
+@pytest.mark.parametrize("n_dirs", [18, 24, 64])
+@pytest.mark.parametrize("warp", [True, False])
+def test_unit_ball_areas_match_full_circle_sum(equivalence_domains, n_dirs, warp):
+    for name, (dom, P, tol) in equivalence_domains.items():
+        got = unit_ball_areas(dom, P, n_dirs=n_dirs, warp=warp)
+        ref = _reference_unit_ball_areas(dom, P, n_dirs, warp)
+        assert np.all(np.abs(got - ref) <= tol * ref), name
