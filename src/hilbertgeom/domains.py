@@ -13,7 +13,10 @@ Conventions:
 * angle-parameterized boundaries (ellipse, p-ball, radial variants) take
   radians; polygons take arc-length fraction in ``[0, 1)``
 * rays are cast from strictly interior points; reported ray parameters are
-  Euclidean lengths (directions are normalized internally)
+  Euclidean lengths (directions are normalized internally).  A row whose
+  start is not strictly interior (gauge >= 0) gets NaN from every
+  ``ray_hits``/``ray_hits_both`` path; ``chord`` and the validating entry
+  points raise ``PointNotInterior`` instead
 * domains are immutable after construction and safe to share across threads
 """
 
@@ -232,8 +235,9 @@ class ConvexDomain:
     def ray_hits(self, P, V) -> np.ndarray:
         """First boundary hit parameter along each ray ``P[i] + t*V[i]``.
 
-        ``P`` must be strictly interior (not validated here; callers check).
-        Directions are normalized, so the returned ``t`` are Euclidean lengths.
+        ``P`` is not validated: a row whose start is not strictly interior
+        (gauge >= 0) gets NaN, every other row its hit.  Directions are
+        normalized, so the returned ``t`` are Euclidean lengths.
         """
         P = as_points(P)
         V = as_points(V)
@@ -244,6 +248,7 @@ class ConvexDomain:
         hi = self._ray_bracket(P)
         lo = np.zeros_like(hi)
         g_lo = self.gauge(P)
+        interior = g_lo < 0.0
         g_hi = self.gauge(P + hi[:, None] * U)
         has_grad = self.gauge_grad(P[:1]) is not None
         n_bisect = _BISECT_WITH_GRAD if has_grad else _BISECT_ITERS
@@ -259,7 +264,8 @@ class ConvexDomain:
             # Newton with the analytic gradient replaces the secant stage:
             # a loose bracket suffices because convexity of the gauge along
             # the ray makes Newton globally convergent from the upper side.
-            return self._newton_polish(P, U, 0.5 * (lo + hi), hi)
+            t = self._newton_polish(P, U, 0.5 * (lo + hi), hi)
+            return np.where(interior, t, np.nan)
         tol = 1e-14 * (1.0 + hi)
         for _ in range(_SECANT_ITERS):
             if np.all(hi - lo < tol):
@@ -277,7 +283,7 @@ class ConvexDomain:
         denom = g_hi - g_lo
         t = np.where(denom > 0.0, (lo * g_hi - hi * g_lo) / np.where(denom == 0.0, 1.0, denom), 0.5 * (lo + hi))
         t = np.clip(t, lo, hi)
-        return self._newton_polish(P, U, t, hi)
+        return np.where(interior, t, np.nan)
 
     def _newton_polish(self, P: np.ndarray, U: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Sharpen ray roots with Newton steps when a gauge gradient exists.
@@ -292,8 +298,6 @@ class ConvexDomain:
         it keeps that step's value and leaves the batch, so the gauge and its
         gradient are evaluated only on the rows still moving.
         """
-        if self.gauge_grad(P[:1]) is None:
-            return t
         t = t.copy()
         rows = np.arange(len(t))
         t_r, P_r, U_r, hi_r = t, P, U, hi
@@ -411,10 +415,12 @@ class Ellipse(ConvexDomain):
         A = np.einsum("ij,ij->i", W, W)
         B = np.einsum("ij,ij->i", Z, W)
         C = np.einsum("ij,ij->i", Z, Z) - 1.0
-        disc = np.sqrt(np.maximum(B * B - A * C, 0.0))
+        # a start with C >= 0 is not interior: its NaN propagates quietly to
+        # t; with C < 0 the discriminant is positive and needs no clamp
+        C = np.where(C < 0.0, C, np.nan)
+        disc = np.sqrt(B * B - A * C)
         # stable positive root of A t^2 + 2 B t + C = 0 with C < 0
-        t = np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
-        return t
+        return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
 
     def to_spec(self) -> dict:
         return {
@@ -477,7 +483,8 @@ class PBall(ConvexDomain):
             Z = (P - self.center) / self.radius
             B = np.einsum("ij,ij->i", Z, U)
             C = np.einsum("ij,ij->i", Z, Z) - 1.0
-            disc = np.sqrt(np.maximum(B * B - C, 0.0))
+            C = np.where(C < 0.0, C, np.nan)  # as in Ellipse.ray_hits
+            disc = np.sqrt(B * B - C)
             t = np.where(B > 0.0, -C / (B + disc), disc - B)
             return t * self.radius
         return super().ray_hits(P, V)
@@ -532,9 +539,16 @@ class Polygon(ConvexDomain):
         self._anchor = V.mean(axis=0)
         self.vertices.setflags(write=False)
 
+    def _slacks(self, P) -> np.ndarray:
+        """Edge slacks ``n_j . p - c_j``, edge-major with shape ``(k, n)``.
+
+        Every reduction over the k edges then runs along the long point axis,
+        which numpy does many times faster than along a short last axis.
+        """
+        return self._edge_normals @ as_points(P).T - self._edge_offsets[:, None]
+
     def gauge(self, P) -> np.ndarray:
-        D = as_points(P) @ self._edge_normals.T - self._edge_offsets
-        return D.max(axis=1)
+        return self._slacks(P).max(axis=0)
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float)) % 1.0
@@ -551,8 +565,7 @@ class Polygon(ConvexDomain):
         return self._cumlen[:-1] / self._cumlen[-1]
 
     def boundary_normals(self, B) -> np.ndarray:
-        D = as_points(B) @ self._edge_normals.T - self._edge_offsets
-        return self._edge_normals[np.argmax(D, axis=1)]
+        return self._edge_normals[np.argmax(self._slacks(B), axis=0)]
 
     def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         d = np.hypot(self.vertices[:, 0] - b[0], self.vertices[:, 1] - b[1])
@@ -576,12 +589,12 @@ class Polygon(ConvexDomain):
         V = as_points(V)
         norms = np.hypot(V[:, 0], V[:, 1])
         U = V / norms[:, None]
-        den = U @ self._edge_normals.T
-        num = self._edge_offsets - P @ self._edge_normals.T
+        den = self._edge_normals @ U.T
+        D = self._slacks(P)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(den > 1e-300, num / den, np.inf)
+            t = np.where(den > 1e-300, -D / den, np.inf)
         t = np.where(t >= 0.0, t, np.inf)
-        return t.min(axis=1)
+        return np.where(D.max(axis=0) < 0.0, t.min(axis=0), np.nan)
 
     def to_spec(self) -> dict:
         return {"type": "polygon", "vertices": self.vertices.tolist()}
@@ -614,15 +627,14 @@ class SmoothedPolygon(ConvexDomain):
             raise ValueError("smoothing too large: domain is empty at the polygon centroid")
 
     def gauge(self, P) -> np.ndarray:
-        A = (as_points(P) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
-        m = A.max(axis=1)
-        return self.smoothing * (m + np.log(np.exp(A - m[:, None]).sum(axis=1)))
+        A = self._poly._slacks(P) / self.smoothing
+        m = A.max(axis=0)
+        return self.smoothing * (m + np.log(np.exp(A - m).sum(axis=0)))
 
     def gauge_grad(self, P) -> np.ndarray:
-        A = (as_points(P) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
-        W = np.exp(A - A.max(axis=1)[:, None])
-        W = W / W.sum(axis=1)[:, None]
-        return W @ self._poly._edge_normals
+        A = self._poly._slacks(P) / self.smoothing
+        W = np.exp(A - A.max(axis=0))
+        return (W / W.sum(axis=0)).T @ self._poly._edge_normals
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -632,10 +644,7 @@ class SmoothedPolygon(ConvexDomain):
         return P0 + hit[:, None] * U
 
     def boundary_normals(self, B) -> np.ndarray:
-        A = (as_points(B) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
-        W = np.exp(A - A.max(axis=1)[:, None])
-        W = W / W.sum(axis=1)[:, None]
-        G = W @ self._poly._edge_normals
+        G = self.gauge_grad(B)
         return G / np.hypot(G[:, 0], G[:, 1])[:, None]
 
     def interior_point(self) -> np.ndarray:
@@ -729,6 +738,8 @@ class ProjectiveImage(ConvexDomain):
         w = hom[:, 2]
         anchor_w = float(M[2, 0] * inner.interior_point()[0] + M[2, 1] * inner.interior_point()[1] + M[2, 2])
         wscale = float(np.max(np.abs(M[2])) * inner.scale())
+        # the inverse map gives every image point a pulled-back w of this sign
+        self._w_sign = 1.0 if anchor_w > 0 else -1.0
         if anchor_w < 0:
             w = -w
             anchor_w = -anchor_w
@@ -757,9 +768,7 @@ class ProjectiveImage(ConvexDomain):
         M = self._inv.matrix
         hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ M.T
         w = hom[:, 2]
-        anchor_w = float(np.dot(M[2], np.array([self._anchor[0], self._anchor[1], 1.0])))
-        sign = 1.0 if anchor_w > 0 else -1.0
-        w_ok = sign * w > 1e-12 * max(1.0, float(np.max(np.abs(M[2]))))
+        w_ok = self._w_sign * w > 1e-12 * max(1.0, float(np.max(np.abs(M[2]))))
         safe_w = np.where(w_ok, w, 1.0)
         X = hom[:, :2] / safe_w[:, None]
         g = np.where(w_ok, self.inner.gauge(X), 1.0)
@@ -796,20 +805,26 @@ class ProjectiveImage(ConvexDomain):
         U = V / norms[:, None]
         Minv = self._inv.matrix
         hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ Minv.T
-        A = hom[:, :2] / hom[:, 2][:, None]
+        # a pulled-back w of the wrong sign puts the start beyond the line
+        # sent to infinity: cast that row from the inner anchor, report NaN
+        ok = self._w_sign * hom[:, 2] > 0.0
+        A = hom[:, :2] / np.where(ok, hom[:, 2], 1.0)[:, None]
+        A[~ok] = self.inner.interior_point()
         W = U @ Minv[:, :2].T  # direction as point at infinity, (n,3)
         D = W[:, :2] - W[:, 2][:, None] * A
         dn = np.hypot(D[:, 0], D[:, 1])
         D = D / dn[:, None]
         s_plus = self.inner.ray_hits(A, D)
         s_minus = self.inner.ray_hits(A, -D)
-        E1 = self.map.apply_many(A + s_plus[:, None] * D)
-        E2 = self.map.apply_many(A - s_minus[:, None] * D)
+        # the inner cast gives NaN for a start outside the inner domain
+        ok &= ~np.isnan(s_plus)
+        E1 = self.map.apply_many(A + np.where(ok, s_plus, 0.0)[:, None] * D)
+        E2 = self.map.apply_many(A - np.where(ok, s_minus, 0.0)[:, None] * D)
         sig1 = np.einsum("ij,ij->i", E1 - P, U)
         sig2 = np.einsum("ij,ij->i", E2 - P, U)
         t_plus = np.where(sig1 > 0.0, sig1, sig2)
         t_minus = np.where(sig1 > 0.0, -sig2, -sig1)
-        return t_plus, t_minus
+        return np.where(ok, t_plus, np.nan), np.where(ok, t_minus, np.nan)
 
     def to_spec(self) -> dict:
         return {

@@ -45,7 +45,8 @@ def hilbert_distances(domain: ConvexDomain, P, Q, validate: bool = True) -> np.n
 
     With ``validate=False`` the rows are trusted to be interior; near-boundary
     rows then degrade to very large values instead of raising, which is what
-    the segment-distance scans rely on.
+    the segment-distance scans rely on, and a row whose first point is not
+    interior gives NaN (the ray casts' exterior-start contract).
     """
     P = as_points(P)
     Q = as_points(Q)

@@ -4,6 +4,7 @@ import pytest
 from hilbertgeom.domains import (
     Ellipse,
     PBall,
+    Polygon,
     PowerCap,
     ProjectiveImage,
     ProjectiveMap,
@@ -34,10 +35,18 @@ def equivalence_domains():
         "pball20": PBall(20.0),
         "ellipse": Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3),
         "square": square,
+        "triangle": regular_polygon(3),
+        "hexagon": regular_polygon(6, circumradius=1.3, center=(0.2, -0.1), phase=0.3),
+        "pentagon": Polygon([[0.0, -1.0], [0.8, 0.1], [0.0, 0.6], [-0.5, 0.0], [-0.4, -0.6]]),
         "smoothed": SmoothedPolygon(square.vertices, smoothing=0.1),
+        "smoothed0.05": SmoothedPolygon(square.vertices, smoothing=0.05),
+        "smoothed0.2": SmoothedPolygon(square.vertices, smoothing=0.2),
         "power-cap": PowerCap(2.0),
         "projective": ProjectiveImage(
             PBall(4.0), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]])
+        ),
+        "projective-square": ProjectiveImage(
+            square, ProjectiveMap([[1.0, 0.0, 0.1], [0.1, 1.0, 0.0], [0.0, 0.3, 1.0]])
         ),
     }
     angles = 0.3 + np.arange(7) * (2.0 * np.pi / 7.0)

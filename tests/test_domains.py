@@ -14,12 +14,14 @@ from hilbertgeom.domains import (
     ProjectiveImage,
     ProjectiveMap,
     SmoothedPolygon,
+    as_points,
     domain_from_json,
     domain_from_spec,
     regular_polygon,
     unit_disk,
 )
-from hilbertgeom.errors import ImproperImage, NotOnBoundary
+from hilbertgeom.errors import ImproperImage, NotOnBoundary, PointNotInterior
+from hilbertgeom.triangles import ideal_triangle_area, make_ideal_triangle
 
 RNG_SEED = 1918
 
@@ -227,3 +229,169 @@ def test_ray_hits_match_all_rows_newton(equivalence_domains, monkeypatch):
         ref = dom.ray_hits(P, U)
         assert np.all(np.abs(t - ref) <= tol * ref), name
         assert np.max(np.abs(dom.gauge(P + t[:, None] * U))) <= 1e-10, name
+
+
+def _outward_boundary_point(dom, c, u):
+    """The boundary hit from ``c`` along ``u``, moved outward by whole ulps
+    until the domain's own gauge reads >= 0 there."""
+    b = c + dom.ray_hits(c[None], u[None])[0] * u
+    while dom.gauge(b[None])[0] < 0.0:
+        b = np.nextafter(b, b + u)
+    return b
+
+
+@pytest.mark.parametrize(
+    "dom, exterior",
+    [
+        (PBall(1.0), [0.473, 0.736]),  # gauge +0.088, just outside the diamond
+        (PBall(4.0, center=(0.2, -0.1), scale=1.3), [1.6, 0.0]),
+        (PowerCap(2.0), [0.5, 0.1]),
+        (SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1), [0.9, 0.5]),
+        (unit_disk(), [0.8, 0.7]),
+        (Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3), [0.5, 0.9]),
+        (regular_polygon(4), [0.6, 0.6]),
+        (ProjectiveImage(regular_polygon(4), ProjectiveMap([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])),
+         [-3.0, 0.0]),
+    ],
+    ids=["pball1", "pball4", "power-cap", "smoothed", "pball2", "ellipse", "square", "projective"],
+)
+def test_ray_hits_nan_for_non_interior_starts(dom, exterior):
+    rng = np.random.default_rng(RNG_SEED)
+    c = dom.interior_point()
+    theta = rng.uniform(0.0, 2.0 * np.pi, 5)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    interior = c + 0.5 * dom.ray_hits(np.repeat(c[None], 5, axis=0), U)[:, None] * U
+    boundary = _outward_boundary_point(dom, c, U[0])
+    assert dom.gauge(np.array([exterior]))[0] > 0.0
+    assert dom.gauge(boundary[None])[0] >= 0.0
+    P = np.concatenate([interior[:2], [exterior], interior[2:4], [boundary], interior[4:]])
+    V = np.concatenate([U[:2], U[:1], U[2:4], U[:1], U[4:]])
+    alone = dom.ray_hits(interior, U)
+    t_plus, t_minus = dom.ray_hits_both(P, V)
+    for t, ref in ((dom.ray_hits(P, V), alone), (t_plus, alone), (t_minus, dom.ray_hits(interior, -U))):
+        assert np.isnan(t[[2, 5]]).all()
+        np.testing.assert_array_equal(np.delete(t, [2, 5]), ref)
+    with pytest.raises(PointNotInterior):
+        dom.chord(exterior, U[0])
+    with pytest.raises(PointNotInterior):
+        dom.chord(boundary, U[0])
+
+
+def test_projective_ray_hits_nan_beyond_line_at_infinity():
+    # the inverse map sends w = 1 - x/2 to zero at x = 2: (3, 0) pulls back
+    # with a negative w, and (2, 0) with w = 0
+    image = ProjectiveImage(regular_polygon(4), ProjectiveMap([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]]))
+    P = np.array([[0.0, 0.0], [3.0, 0.0], [2.0, 0.0], [0.1, 0.2]])
+    U = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]])
+    t_plus, t_minus = image.ray_hits_both(P, U)
+    assert np.isnan(t_plus[1:3]).all() and np.isnan(t_minus[1:3]).all()
+    assert np.all(np.isfinite(t_plus[[0, 3]])) and np.all(t_plus[[0, 3]] > 0.0)
+
+
+def test_polygon_ray_hits_parallel_edges_exact():
+    # two edges are parallel to the ray (den == 0): they must not be hit
+    square = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert square.ray_hits([[0.5, 0.5]], [[1.0, 0.0]])[0] == 0.5
+
+
+# The row-major polygon kernels that the edge-major ones replaced, kept as
+# references: an (n, k) slack array reduced along axis 1.  Their ray cast has
+# no exterior-start mask; the points they are compared on are all interior.
+
+
+def _rowmajor_polygon_gauge(self, P):
+    D = as_points(P) @ self._edge_normals.T - self._edge_offsets
+    return D.max(axis=1)
+
+
+def _rowmajor_polygon_boundary_normals(self, B):
+    D = as_points(B) @ self._edge_normals.T - self._edge_offsets
+    return self._edge_normals[np.argmax(D, axis=1)]
+
+
+def _rowmajor_polygon_ray_hits(self, P, V):
+    P = as_points(P)
+    V = as_points(V)
+    norms = np.hypot(V[:, 0], V[:, 1])
+    U = V / norms[:, None]
+    den = U @ self._edge_normals.T
+    num = self._edge_offsets - P @ self._edge_normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(den > 1e-300, num / den, np.inf)
+    t = np.where(t >= 0.0, t, np.inf)
+    return t.min(axis=1)
+
+
+def _rowmajor_smoothed_gauge(self, P):
+    A = (as_points(P) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
+    m = A.max(axis=1)
+    return self.smoothing * (m + np.log(np.exp(A - m[:, None]).sum(axis=1)))
+
+
+def _rowmajor_smoothed_gauge_grad(self, P):
+    A = (as_points(P) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
+    W = np.exp(A - A.max(axis=1)[:, None])
+    W = W / W.sum(axis=1)[:, None]
+    return W @ self._poly._edge_normals
+
+
+def _rowmajor_smoothed_boundary_normals(self, B):
+    A = (as_points(B) @ self._poly._edge_normals.T - self._poly._edge_offsets) / self.smoothing
+    W = np.exp(A - A.max(axis=1)[:, None])
+    W = W / W.sum(axis=1)[:, None]
+    G = W @ self._poly._edge_normals
+    return G / np.hypot(G[:, 0], G[:, 1])[:, None]
+
+
+def _use_row_major_kernels(monkeypatch):
+    monkeypatch.setattr(Polygon, "gauge", _rowmajor_polygon_gauge)
+    monkeypatch.setattr(Polygon, "boundary_normals", _rowmajor_polygon_boundary_normals)
+    monkeypatch.setattr(Polygon, "ray_hits", _rowmajor_polygon_ray_hits)
+    monkeypatch.setattr(SmoothedPolygon, "gauge", _rowmajor_smoothed_gauge)
+    monkeypatch.setattr(SmoothedPolygon, "gauge_grad", _rowmajor_smoothed_gauge_grad)
+    monkeypatch.setattr(SmoothedPolygon, "boundary_normals", _rowmajor_smoothed_boundary_normals)
+
+
+_POLYGON_FAMILY = (
+    "square", "triangle", "hexagon", "pentagon", "smoothed", "smoothed0.05", "smoothed0.2", "projective-square",
+)
+
+
+def _edge_kernel_outputs(dom, P, U):
+    t = dom.ray_hits(P, U)
+    out = {"gauge": dom.gauge(P), "ray_hits": t, "boundary_normals": dom.boundary_normals(P + t[:, None] * U)}
+    grad = dom.gauge_grad(P)
+    if grad is not None:
+        out["gauge_grad"] = grad
+    return out
+
+
+def test_edge_major_kernels_match_row_major(equivalence_domains, monkeypatch):
+    rng = np.random.default_rng(RNG_SEED)
+    cases = []
+    for name in _POLYGON_FAMILY:
+        dom, P, _ = equivalence_domains[name]
+        theta = rng.uniform(0.0, 2.0 * np.pi, len(P))
+        U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        cases.append((name, dom, P, U, _edge_kernel_outputs(dom, P, U)))
+    _use_row_major_kernels(monkeypatch)
+    for name, dom, P, U, new in cases:
+        ref = _edge_kernel_outputs(dom, P, U)
+        assert new.keys() == ref.keys(), name
+        for kernel in ref:
+            try:
+                np.testing.assert_array_max_ulp(new[kernel], ref[kernel], maxulp=1)
+            except AssertionError as exc:
+                raise AssertionError(f"{name} {kernel}: {exc}") from None
+
+
+@pytest.mark.parametrize(
+    "dom, tol",
+    [(regular_polygon(4), 1e-3), (SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1), 1e-2)],
+    ids=["square", "smoothed"],
+)
+def test_ideal_triangle_area_unchanged_by_edge_major_kernels(dom, tol, monkeypatch):
+    tri = make_ideal_triangle(dom, 0.05, 0.05 + dom.param_period / 3.0, 0.05 + 2.0 * dom.param_period / 3.0)
+    new = ideal_triangle_area(dom, tri, tol=tol)
+    _use_row_major_kernels(monkeypatch)
+    assert ideal_triangle_area(dom, tri, tol=tol) == new
