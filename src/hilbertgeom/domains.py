@@ -169,9 +169,10 @@ class Chord:
 class ConvexDomain:
     """Bounded open convex domain in the plane.
 
-    Subclasses provide :meth:`gauge`, :meth:`boundary_points`,
-    :meth:`boundary_normals`, an interior anchor and a bounding radius; the
-    base class supplies generic ray casting, chords and supporting lines.
+    Subclasses provide :meth:`gauge`, :meth:`boundary_points`, an interior
+    anchor, a bounding radius, and either :meth:`gauge_grad` or
+    :meth:`boundary_normals`; the base class supplies generic ray casting,
+    boundary normals from the gradient, chords and supporting lines.
     """
 
     param_period: float = 2.0 * np.pi
@@ -196,8 +197,14 @@ class ConvexDomain:
         raise NotImplementedError
 
     def boundary_normals(self, B) -> np.ndarray:
-        """Outward unit normals at (near-)boundary points, one per row."""
-        raise NotImplementedError
+        """Outward unit normals at (near-)boundary points, one per row.
+
+        The normalised :meth:`gauge_grad`; a zero gradient gives a zero row.
+        Variants without a gradient override this.
+        """
+        G = self.gauge_grad(B)
+        n = np.hypot(G[:, 0], G[:, 1])
+        return G / np.where(n == 0.0, 1.0, n)[:, None]
 
     def interior_point(self) -> np.ndarray:
         raise NotImplementedError
@@ -394,11 +401,6 @@ class Ellipse(ConvexDomain):
         local = np.stack([self.semi_axes[0] * np.cos(t), self.semi_axes[1] * np.sin(t)], axis=1)
         return local @ self._rot.T + self.center
 
-    def boundary_normals(self, B) -> np.ndarray:
-        Z = self._local(as_points(B))
-        G = (Z * self._inv_axes) @ self._rot.T
-        return G / np.hypot(G[:, 0], G[:, 1])[:, None]
-
     def interior_point(self) -> np.ndarray:
         return self.center
 
@@ -461,12 +463,6 @@ class PBall(ConvexDomain):
         e = 2.0 / self.p
         local = np.stack([np.sign(c) * np.abs(c) ** e, np.sign(s) * np.abs(s) ** e], axis=1)
         return self.center + self.radius * local
-
-    def boundary_normals(self, B) -> np.ndarray:
-        Z = (as_points(B) - self.center) / self.radius
-        G = np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
-        n = np.hypot(G[:, 0], G[:, 1])
-        return G / np.where(n == 0.0, 1.0, n)[:, None]
 
     def interior_point(self) -> np.ndarray:
         return self.center
@@ -643,10 +639,6 @@ class SmoothedPolygon(ConvexDomain):
         hit = self.ray_hits(P0, U)
         return P0 + hit[:, None] * U
 
-    def boundary_normals(self, B) -> np.ndarray:
-        G = self.gauge_grad(B)
-        return G / np.hypot(G[:, 0], G[:, 1])[:, None]
-
     def interior_point(self) -> np.ndarray:
         return self._anchor
 
@@ -696,14 +688,6 @@ class PowerCap(ConvexDomain):
         P0 = np.repeat(self._anchor[None, :], len(t), axis=0)
         hit = self.ray_hits(P0, U)
         return P0 + hit[:, None] * U
-
-    def boundary_normals(self, B) -> np.ndarray:
-        Q = as_points(B)
-        lower = (np.abs(Q[:, 0]) ** self.alpha - Q[:, 1]) >= (Q[:, 1] - 1.0)
-        gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * np.abs(Q[:, 0]) ** (self.alpha - 1.0), 0.0)
-        gy = np.where(lower, -1.0, 1.0)
-        G = np.stack([gx, gy], axis=1)
-        return G / np.hypot(G[:, 0], G[:, 1])[:, None]
 
     def interior_point(self) -> np.ndarray:
         return self._anchor

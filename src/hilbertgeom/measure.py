@@ -355,39 +355,54 @@ def region_area(
 # metric balls
 
 
+def chord_parameter_at_distance(t_plus, t_minus, rho):
+    """Chord parameter t at Hilbert distance ``rho`` from the chord's point.
+
+    On a chord with boundary hits t_plus ahead and t_minus behind, the
+    distance profile
+
+        d(t) = 1/2 ln( (t_minus + t)/t_minus * t_plus/(t_plus - t) )
+
+    increases from 0 to infinity on [0, t_plus), and its exact inverse
+
+        t(rho) = t_minus t_plus (1 - e^{-2 rho}) / (t_minus + e^{-2 rho} t_plus)
+
+    has no cancellation and no overflow for any rho >= 0.  Arguments
+    broadcast; t is capped at t_plus (1 - 1e-15), so the point stays interior
+    where rounding would put it on the boundary.
+    """
+    e = np.exp(-2.0 * rho)
+    t = t_minus * t_plus * -np.expm1(-2.0 * rho) / (t_minus + e * t_plus)
+    return np.minimum(t, t_plus * (1.0 - 1e-15))
+
+
+def _frame_chords(domain: ConvexDomain, q: np.ndarray, n: int):
+    """Unit directions about q at n adapted-frame angles psi, their chord
+    hits, and the elliptical-angle Jacobian d(theta)/d(psi)."""
+    tau, nin, a, b = ball_frames(domain, q[None, :], warp=True)
+    psi = np.arange(n) * (2.0 * np.pi / n)
+    cs, sn = np.cos(psi), np.sin(psi)
+    U = (a[0] * cs)[:, None] * tau[0][None, :] + (b[0] * sn)[:, None] * nin[0][None, :]
+    U = U / np.hypot(U[:, 0], U[:, 1])[:, None]
+    tp, tm = domain.ray_hits_both(np.repeat(q[None, :], n, axis=0), U)
+    jac = (a[0] * b[0]) / (a[0] ** 2 * cs ** 2 + b[0] ** 2 * sn ** 2)
+    return U, tp, tm, jac
+
+
 def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) -> np.ndarray:
     """Vertices of the inscribed polygon of the metric ball of radius R at q.
 
     Directions come from the adapted frame; along each chord the radius is
-    found by bisection on the one-dimensional distance profile
-
-        d(t) = 1/2 ln( (t_minus + t)/t_minus * t_plus/(t_plus - t) ),
-
-    which increases monotonically from 0 to infinity, so the root always
-    brackets.
+    the closed-form inverse of the distance profile
+    (:func:`chord_parameter_at_distance`).
     """
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
     if R <= 0:
         raise ValueError("radius must be positive")
-    tau, nin, a, b = ball_frames(domain, q[None, :], warp=True)
-    psi = np.arange(n_dirs) * (2.0 * np.pi / n_dirs)
-    U = (
-        (a[0] * np.cos(psi))[:, None] * tau[0][None, :]
-        + (b[0] * np.sin(psi))[:, None] * nin[0][None, :]
-    )
-    Pr = np.repeat(q[None, :], n_dirs, axis=0)
-    U = U / np.hypot(U[:, 0], U[:, 1])[:, None]
-    tp, tm = domain.ray_hits_both(Pr, U)
-    lo = np.zeros(n_dirs)
-    hi = tp * (1.0 - 1e-15)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d = 0.5 * np.log((tm + mid) / tm * (tp / np.maximum(tp - mid, _TINY)))
-        lo = np.where(d < R, mid, lo)
-        hi = np.where(d < R, hi, mid)
-    t = 0.5 * (lo + hi)
+    U, tp, tm, _ = _frame_chords(domain, q, n_dirs)
+    t = chord_parameter_at_distance(tp, tm, R)
     return q + t[:, None] * U
 
 
@@ -397,35 +412,19 @@ def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: 
 
     Polar coordinates about q: angular nodes from the adapted frame with
     periodic Simpson weights, radial shells at Gauss-Legendre Hilbert radii
-    rho in (0, R).  Shell positions t solve d(t) = rho by bisection on the
-    monotone distance profile of each chord, and the radial Jacobian is the
-    reciprocal slope dt/drho = 2 / (1/(t_minus + t) + 1/(t_plus - t)).
+    rho in (0, R).  Shell positions t invert the distance profile of each
+    chord in closed form, and the radial Jacobian is the reciprocal slope
+    dt/drho = 2 / (1/(t_minus + t) + 1/(t_plus - t)).
     """
-    tau, nin, a, b = ball_frames(domain, q[None, :], warp=True)
-    psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
-    cs, sn = np.cos(psi), np.sin(psi)
-    U = (a[0] * cs)[:, None] * tau[0][None, :] + (b[0] * sn)[:, None] * nin[0][None, :]
-    U = U / np.hypot(U[:, 0], U[:, 1])[:, None]
-    # d(theta)/d(psi) for the elliptical angle substitution
-    jac = (a[0] * b[0]) / (a[0] ** 2 * cs ** 2 + b[0] ** 2 * sn ** 2)
-    Pr = np.repeat(q[None, :], n_psi, axis=0)
-    tp, tm = domain.ray_hits_both(Pr, U)
+    U, tp, tm, jac = _frame_chords(domain, q, n_psi)
 
     rho, w_r = np.polynomial.legendre.leggauss(n_r)
     rho = 0.5 * R * (rho + 1.0)
     w_r = 0.5 * R * w_r
 
-    lo = np.zeros((n_psi, n_r))
-    hi = np.repeat((tp * (1.0 - 1e-15))[:, None], n_r, axis=1)
     TP = tp[:, None]
     TM = tm[:, None]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d = 0.5 * np.log((TM + mid) / TM * (TP / np.maximum(TP - mid, _TINY)))
-        below = d < rho[None, :]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    T = 0.5 * (lo + hi)
+    T = chord_parameter_at_distance(TP, TM, rho[None, :])
     dtdrho = 2.0 / (1.0 / (TM + T) + 1.0 / np.maximum(TP - T, _TINY))
     X = (q[None, None, :] + T[:, :, None] * U[:, None, :]).reshape(-1, 2)
     areas = unit_ball_areas(domain, X, n_dirs=density_dirs, warp=True, validate=False)
@@ -447,9 +446,9 @@ def ball_area(
     """Hilbert measure of the metric ball of radius R centered at q.
 
     Integrates the density over polar shells about q; every shell is located
-    by radial bisection on the Hilbert distance.  Both node counts double per
-    refinement level until successive totals agree to ``tol`` (relative) or
-    the level cap is reached.
+    by the closed-form inverse of the Hilbert distance along its chord.  Both
+    node counts double per refinement level until successive totals agree to
+    ``tol`` (relative) or the level cap is reached.
     """
     q = as_point(q)
     if not domain.contains(q):

@@ -31,6 +31,7 @@ from .errors import PointNotInterior, SegmentNotInDomain
 COINCIDENCE_TOL = 1e-14
 _TINY = 1e-300
 _SCAN_POINTS = 256
+_SCAN_ROWS = 48 * _SCAN_POINTS  # most scan rows per hilbert_distances call
 _GOLDEN_ITERS = 48
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,7 +122,9 @@ def point_to_segment_distances(
     Grid pre-scan (``n_scan`` points, endpoints included) followed by a
     batched golden-section refinement around the best grid cell.  The scan
     keeps the search honest on polygonal domains where the profile can have
-    flat valleys; golden section then squeezes the winning bracket.
+    flat valleys; golden section then squeezes the winning bracket.  The
+    scan runs in blocks of at most 48 * 256 scan rows per distance call, so
+    its memory stays bounded however many rows are passed.
     """
     P = as_points(P)
     A = as_points(A)
@@ -137,12 +140,15 @@ def point_to_segment_distances(
             raise SegmentNotInDomain("segment midpoint not interior")
 
     s = np.linspace(0.0, 1.0, n_scan)
-    # (n, n_scan) distances in a single vectorized call
-    Pt = np.repeat(P, n_scan, axis=0)
-    X = (A[:, None, :] + s[None, :, None] * (B - A)[:, None, :]).reshape(-1, 2)
-    D = hilbert_distances(domain, Pt, X, validate=False).reshape(n, n_scan)
-    k = np.argmin(D, axis=1)
-    best = D[np.arange(n), k]
+    k = np.empty(n, dtype=int)
+    best = np.empty(n)
+    step = max(1, _SCAN_ROWS // n_scan)
+    for i in range(0, n, step):
+        blk = slice(i, i + step)
+        X = (A[blk, None, :] + s[None, :, None] * (B[blk] - A[blk])[:, None, :]).reshape(-1, 2)
+        D = hilbert_distances(domain, np.repeat(P[blk], n_scan, axis=0), X, validate=False).reshape(-1, n_scan)
+        k[blk] = np.argmin(D, axis=1)
+        best[blk] = D.min(axis=1)
     lo = s[np.maximum(k - 1, 0)]
     hi = s[np.minimum(k + 1, n_scan - 1)]
 
@@ -368,9 +374,43 @@ def delta_four_point_grid(domain: ConvexDomain, points) -> DeltaEstimate:
     return DeltaEstimate(delta_hat=best, witness=witness, samples_used=n ** 4)
 
 
-def _collinear(a: np.ndarray, b: np.ndarray, c: np.ndarray, scale: float) -> bool:
-    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return abs(cross) <= 1e-13 * scale * scale
+def _thinness_many(domain: ConvexDomain, tris: np.ndarray, side_points: int) -> tuple[np.ndarray, list]:
+    """Thinness and witness record of each (3, 2) vertex triple in ``tris``.
+
+    Every non-collinear triangle shares one ``point_to_segment_distances``
+    call; collinear ones get value 0 and a degenerate witness.
+    """
+    m = len(tris)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    sc = domain.scale()
+    cross = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    live = np.flatnonzero(np.abs(cross) > 1e-13 * sc * sc)
+    V = tris[live]
+    k = len(V)
+    fr = (np.arange(side_points) + 0.5) / side_points
+    # probe side i connects V[i+1] and V[i+2]; the opposite sides are
+    # (V[i], V[i+1]) and (V[i], V[i+2])
+    i0 = np.arange(3)
+    i1, i2 = (i0 + 1) % 3, (i0 + 2) % 3
+    probes = V[:, i1, None, :] + fr[:, None] * (V[:, i2] - V[:, i1])[:, :, None, :]  # (k, 3, sp, 2)
+    shape = (k, 3, 2, side_points, 2)
+    P = np.broadcast_to(probes[:, :, None], shape).reshape(-1, 2)
+    A = np.broadcast_to(V[:, :, None, None, :], shape).reshape(-1, 2)
+    B = np.broadcast_to(V[:, np.stack([i1, i2], axis=1), None, :], shape).reshape(-1, 2)
+    D = point_to_segment_distances(domain, P, A, B, validate=False).reshape(k, 3, 2, side_points)
+    per_point = D.min(axis=2).reshape(k, 3 * side_points)  # min over the two opposite sides
+    arg = np.argmax(per_point, axis=1)
+    values = np.zeros(m)
+    values[live] = per_point[np.arange(k), arg]
+    witnesses = [
+        {"kind": "thin-triangle", "vertices": t.tolist(), "side": 0, "point": t[0].tolist(), "degenerate": True}
+        for t in tris
+    ]
+    for j, r in enumerate(live):
+        side, pt = divmod(int(arg[j]), side_points)
+        witnesses[r] = {"kind": "thin-triangle", "vertices": tris[r].tolist(), "side": side,
+                        "point": probes[j, side, pt].tolist()}
+    return values, witnesses
 
 
 def triangle_thinness(
@@ -386,57 +426,25 @@ def triangle_thinness(
     Returns the value together with a witness record.  Collinear vertices
     give 0 (the sides overlap).
     """
-    a, b, c = as_point(a), as_point(b), as_point(c)
-    sc = domain.scale()
-    if _collinear(a, b, c, sc):
-        return 0.0, {"kind": "thin-triangle", "vertices": [a.tolist(), b.tolist(), c.tolist()],
-                     "side": 0, "point": a.tolist(), "degenerate": True}
-    V = np.stack([a, b, c])
-    fr = (np.arange(side_points) + 0.5) / side_points
-    # probe side i connects V[i+1] and V[i+2]; the opposite sides are
-    # (V[i], V[i+1]) and (V[i], V[i+2])
-    P_list = [V[(i + 1) % 3] + fr[:, None] * (V[(i + 2) % 3] - V[(i + 1) % 3]) for i in range(3)]
-    P_rows, A_rows, B_rows = [], [], []
-    for i in range(3):
-        for j in ((i + 1) % 3, (i + 2) % 3):
-            P_rows.append(P_list[i])
-            A_rows.append(np.repeat(V[i][None, :], side_points, axis=0))
-            B_rows.append(np.repeat(V[j][None, :], side_points, axis=0))
-    D = point_to_segment_distances(
-        domain, np.concatenate(P_rows), np.concatenate(A_rows), np.concatenate(B_rows), validate=False
-    )
-    D = D.reshape(3, 2, side_points)
-    per_point = D.min(axis=1)  # min over the two opposite sides
-    side_idx, pt_idx = np.unravel_index(int(np.argmax(per_point)), per_point.shape)
-    value = float(per_point[side_idx, pt_idx])
-    witness_point = P_list[side_idx][pt_idx]
-    witness = {
-        "kind": "thin-triangle",
-        "vertices": [a.tolist(), b.tolist(), c.tolist()],
-        "side": int(side_idx),
-        "point": witness_point.tolist(),
-    }
-    return value, witness
+    values, witnesses = _thinness_many(domain, np.stack([as_point(a), as_point(b), as_point(c)])[None], side_points)
+    return float(values[0]), witnesses[0]
 
 
 def delta_thin(domain: ConvexDomain, config: ThinTriangleConfig = ThinTriangleConfig()) -> DeltaEstimate:
-    """Thin-triangle hyperbolicity estimate over sampled segment triangles."""
+    """Thin-triangle hyperbolicity estimate over sampled segment triangles.
+
+    All triangles are evaluated in one batch; the first maximal one is the
+    witness.
+    """
     if config.budget < 1:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(config.seed)
     tris = boundary_biased_points(
         domain, (config.budget, 3), rng, approach=config.approach, windows=config.windows
     )
-    best = -1.0
-    best_witness = None
-    for i in range(config.budget):
-        value, witness = triangle_thinness(
-            domain, tris[i, 0], tris[i, 1], tris[i, 2], side_points=config.side_points
-        )
-        if value > best:
-            best = value
-            best_witness = witness
-    return DeltaEstimate(delta_hat=float(max(best, 0.0)), witness=best_witness, samples_used=config.budget)
+    values, witnesses = _thinness_many(domain, tris, config.side_points)
+    k = int(np.argmax(values))
+    return DeltaEstimate(delta_hat=float(max(values[k], 0.0)), witness=witnesses[k], samples_used=config.budget)
 
 
 def reevaluate_witness(domain: ConvexDomain, witness: dict) -> float:
@@ -448,13 +456,10 @@ def reevaluate_witness(domain: ConvexDomain, witness: dict) -> float:
     if kind == "thin-triangle":
         if witness.get("degenerate"):
             return 0.0
-        V = [as_point(v) for v in witness["vertices"]]
-        p = as_point(witness["point"])[None, :]
+        V = as_points(witness["vertices"])
         i = int(witness["side"])
-        others = [(V[i], V[(i + 1) % 3]), (V[i], V[(i + 2) % 3])]
-        vals = [
-            float(point_to_segment_distances(domain, p, a[None, :], b[None, :], validate=False)[0])
-            for a, b in others
-        ]
-        return min(vals)
+        P = np.repeat(as_point(witness["point"])[None, :], 2, axis=0)
+        A = V[[i, i]]
+        B = V[[(i + 1) % 3, (i + 2) % 3]]
+        return float(point_to_segment_distances(domain, P, A, B, validate=False).min())
     raise ValueError(f"unknown witness kind {kind!r}")

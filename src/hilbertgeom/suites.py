@@ -16,7 +16,7 @@ import numpy as np
 
 from .domains import ConvexDomain, Ellipse, PBall, Polygon, PowerCap, unit_disk
 from .errors import InsufficientSignal
-from .measure import ball_area, region_area
+from .measure import ball_area, chord_parameter_at_distance, region_area
 from .metric import finsler_norms, hilbert_distances
 from .normalize import boundary_graph, graph_alpha_fit
 from .regularity import (
@@ -316,16 +316,8 @@ def point_at_distance(domain: ConvexDomain, q, direction, dist: float) -> np.nda
     q = np.asarray(q, dtype=float)
     u = np.asarray(direction, dtype=float)
     u = u / np.hypot(u[0], u[1])
-    t_hi = float(domain.ray_hits(q[None], u[None])[0]) * (1.0 - 1e-12)
-    lo, hi = 0.0, t_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d = hilbert_distances(domain, q[None], (q + mid * u)[None], validate=False)[0]
-        if d < dist:
-            lo = mid
-        else:
-            hi = mid
-    return q + 0.5 * (lo + hi) * u
+    t_plus, t_minus = domain.ray_hits_both(q[None], u[None])
+    return q + chord_parameter_at_distance(t_plus[0], t_minus[0], dist) * u
 
 
 def run_ball_growth_suite(tol: float = 1e-3) -> SuiteReport:

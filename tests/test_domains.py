@@ -395,3 +395,59 @@ def test_ideal_triangle_area_unchanged_by_edge_major_kernels(dom, tol, monkeypat
     new = ideal_triangle_area(dom, tri, tol=tol)
     _use_row_major_kernels(monkeypatch)
     assert ideal_triangle_area(dom, tri, tol=tol) == new
+
+
+# The per-class boundary normals that the shared normalised gauge_grad
+# replaced, kept as references.
+
+
+def _own_ellipse_normals(self, B):
+    Z = self._local(as_points(B))
+    G = (Z * self._inv_axes) @ self._rot.T
+    return G / np.hypot(G[:, 0], G[:, 1])[:, None]
+
+
+def _own_pball_normals(self, B):
+    Z = (as_points(B) - self.center) / self.radius
+    G = np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
+    n = np.hypot(G[:, 0], G[:, 1])
+    return G / np.where(n == 0.0, 1.0, n)[:, None]
+
+
+def _own_power_cap_normals(self, B):
+    Q = as_points(B)
+    lower = (np.abs(Q[:, 0]) ** self.alpha - Q[:, 1]) >= (Q[:, 1] - 1.0)
+    gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * np.abs(Q[:, 0]) ** (self.alpha - 1.0), 0.0)
+    gy = np.where(lower, -1.0, 1.0)
+    G = np.stack([gx, gy], axis=1)
+    return G / np.hypot(G[:, 0], G[:, 1])[:, None]
+
+
+def _own_smoothed_normals(self, B):
+    G = self.gauge_grad(B)
+    return G / np.hypot(G[:, 0], G[:, 1])[:, None]
+
+
+@pytest.mark.parametrize(
+    "dom, own",
+    [
+        (Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3), _own_ellipse_normals),
+        (PBall(1.0), _own_pball_normals),
+        (PBall(1.5), _own_pball_normals),
+        (PBall(4.0, center=(0.2, -0.1), scale=1.3), _own_pball_normals),
+        (PBall(20.0), _own_pball_normals),
+        (PowerCap(2.0), _own_power_cap_normals),
+        (PowerCap(3.5), _own_power_cap_normals),
+        (SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1), _own_smoothed_normals),
+    ],
+    ids=["ellipse", "pball1", "pball1.5", "pball4", "pball20", "power-cap2", "power-cap3.5", "smoothed"],
+)
+def test_shared_boundary_normals_match_per_class_formulas(dom, own):
+    ts = np.concatenate([np.random.default_rng(RNG_SEED).uniform(0.0, dom.param_period, 500),
+                         np.arange(8) * dom.param_period / 8.0])
+    B = dom.boundary_points(ts)
+    np.testing.assert_array_max_ulp(dom.boundary_normals(B), own(dom, B), maxulp=4)
+
+
+def test_shared_boundary_normals_zero_gradient_gives_zero_row():
+    assert np.array_equal(PBall(4.0).boundary_normals([[0.0, 0.0]]), [[0.0, 0.0]])

@@ -11,7 +11,9 @@ from hilbertgeom.measure import (
     QuadratureEstimate,
     _simpson_weights,
     ball_area,
+    ball_boundary_polygon,
     ball_frames,
+    chord_parameter_at_distance,
     densities,
     density,
     region_area,
@@ -153,3 +155,38 @@ def test_unit_ball_areas_match_full_circle_sum(equivalence_domains, n_dirs, warp
         got = unit_ball_areas(dom, P, n_dirs=n_dirs, warp=warp)
         ref = _reference_unit_ball_areas(dom, P, n_dirs, warp)
         assert np.all(np.abs(got - ref) <= tol * ref), name
+
+
+def _chord_profile(t_plus, t_minus, t):
+    return 0.5 * np.log((t_minus + t) / t_minus * (t_plus / np.maximum(t_plus - t, 1e-300)))
+
+
+def test_chord_inverse_matches_bisection_and_round_trips():
+    rng = np.random.default_rng(11)
+    n = 2000
+    t_plus = 10.0 ** rng.uniform(-6.0, math.log10(2.0), n)
+    t_minus = 10.0 ** rng.uniform(-6.0, math.log10(2.0), n)
+    rho = rng.uniform(0.01, 8.0, n)
+    t = chord_parameter_at_distance(t_plus, t_minus, rho)
+    assert np.all((t > 0.0) & (t < t_plus))
+    # the 80-step bisection it replaced is exact to the rounding of its bracket
+    lo, hi = np.zeros(n), t_plus * (1.0 - 1e-15)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = _chord_profile(t_plus, t_minus, mid) < rho
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(t - 0.5 * (lo + hi)) <= 4.0 * eps * t_plus)
+    # d(t) = rho up to the conditioning of the profile at t
+    slope = 0.5 * (1.0 / (t_minus + t) + 1.0 / (t_plus - t))
+    assert np.all(np.abs(_chord_profile(t_plus, t_minus, t) - rho) <= 32.0 * eps * (rho + t * slope))
+    # far out the point stays interior instead of rounding onto the boundary
+    assert chord_parameter_at_distance(1.0, 1.0, 40.0) < 1.0
+
+
+def test_ball_boundary_polygon_on_klein_circle():
+    # the Klein ball of radius R about the center is the Euclidean disk of
+    # radius tanh(R)
+    for R in (0.5, 2.0, 6.0):
+        V = ball_boundary_polygon(unit_disk(), (0.0, 0.0), R, n_dirs=64)
+        assert np.allclose(np.hypot(V[:, 0], V[:, 1]), math.tanh(R), rtol=1e-14, atol=0.0)

@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertgeom.domains import PBall, Polygon, ProjectiveImage, ProjectiveMap, unit_disk
+from hilbertgeom import metric
+from hilbertgeom.domains import (
+    PBall,
+    Polygon,
+    ProjectiveImage,
+    ProjectiveMap,
+    SmoothedPolygon,
+    as_point,
+    regular_polygon,
+    unit_disk,
+)
 from hilbertgeom.errors import PointNotInterior
 from hilbertgeom.metric import (
     FourPointConfig,
     ThinTriangleConfig,
+    boundary_biased_points,
     delta_four_point,
     delta_four_point_grid,
     delta_thin,
@@ -18,6 +29,7 @@ from hilbertgeom.metric import (
     hilbert_distance,
     hilbert_distances,
     point_to_segment_distance,
+    point_to_segment_distances,
     reevaluate_witness,
     triangle_thinness,
     window_candidates,
@@ -162,3 +174,128 @@ def test_delta_estimates_serialize():
     blob = est.to_jsonable()
     assert set(blob) >= {"delta_hat", "witness", "samples_used"}
     assert blob["samples_used"] == 50
+
+
+# The per-triangle thin-triangle path that the batched one replaced, kept as
+# a reference: one point_to_segment_distances call per triangle and a
+# strict-> loop over the triangles.
+
+
+def _reference_triangle_thinness(domain, a, b, c, side_points=8):
+    a, b, c = as_point(a), as_point(b), as_point(c)
+    sc = domain.scale()
+    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if abs(cross) <= 1e-13 * sc * sc:
+        return 0.0, {"kind": "thin-triangle", "vertices": [a.tolist(), b.tolist(), c.tolist()],
+                     "side": 0, "point": a.tolist(), "degenerate": True}
+    V = np.stack([a, b, c])
+    fr = (np.arange(side_points) + 0.5) / side_points
+    P_list = [V[(i + 1) % 3] + fr[:, None] * (V[(i + 2) % 3] - V[(i + 1) % 3]) for i in range(3)]
+    P_rows, A_rows, B_rows = [], [], []
+    for i in range(3):
+        for j in ((i + 1) % 3, (i + 2) % 3):
+            P_rows.append(P_list[i])
+            A_rows.append(np.repeat(V[i][None, :], side_points, axis=0))
+            B_rows.append(np.repeat(V[j][None, :], side_points, axis=0))
+    D = point_to_segment_distances(
+        domain, np.concatenate(P_rows), np.concatenate(A_rows), np.concatenate(B_rows), validate=False
+    )
+    per_point = D.reshape(3, 2, side_points).min(axis=1)
+    side_idx, pt_idx = np.unravel_index(int(np.argmax(per_point)), per_point.shape)
+    witness = {
+        "kind": "thin-triangle",
+        "vertices": [a.tolist(), b.tolist(), c.tolist()],
+        "side": int(side_idx),
+        "point": P_list[side_idx][pt_idx].tolist(),
+    }
+    return float(per_point[side_idx, pt_idx]), witness
+
+
+def _reference_delta_thin(domain, config):
+    rng = np.random.default_rng(config.seed)
+    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach, windows=config.windows)
+    best = -1.0
+    best_witness = None
+    for i in range(config.budget):
+        value, witness = _reference_triangle_thinness(domain, *tris[i], side_points=config.side_points)
+        if value > best:
+            best = value
+            best_witness = witness
+    return {"delta_hat": float(max(best, 0.0)), "witness": best_witness, "samples_used": config.budget}
+
+
+_THIN_DOMAINS = {
+    "disk": unit_disk(),
+    "pball1.5": PBall(1.5),
+    "pball4": PBall(4.0),
+    "pball8": PBall(8.0),
+    "square": regular_polygon(4),
+    "smoothed": SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1),
+    "projective": ProjectiveImage(unit_disk(), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THIN_DOMAINS))
+def test_delta_thin_matches_per_triangle_loop(name):
+    dom = _THIN_DOMAINS[name]
+    for budget in (1, 4, 16):
+        config = ThinTriangleConfig(budget=budget, seed=0)
+        assert delta_thin(dom, config).to_jsonable() == _reference_delta_thin(dom, config), budget
+
+
+def test_thinness_batch_sets_collinear_triangles_aside():
+    dom = PBall(4.0)
+    tris = boundary_biased_points(dom, (2, 3), np.random.default_rng(5))
+    line = np.array([[-0.5, 0.1], [0.0, 0.1], [0.5, 0.1]])
+    batch = np.stack([line, tris[0], line[::-1], tris[1]])
+    values, witnesses = metric._thinness_many(dom, batch, 8)
+    for t, value, witness in zip(batch, values, witnesses):
+        assert (value, witness) == _reference_triangle_thinness(dom, *t)
+    assert witnesses[0]["degenerate"] and witnesses[2]["degenerate"]
+    assert values[0] == values[2] == 0.0 and min(values[1], values[3]) > 0.0
+    assert triangle_thinness(dom, *batch[1]) == (values[1], witnesses[1])
+
+
+def _segment_rows(dom, n, seed):
+    T = boundary_biased_points(dom, (n, 3), np.random.default_rng(seed))
+    return 0.5 * (T[:, 0] + T[:, 1]), T[:, 1], T[:, 2]
+
+
+# the closed and generic ray casts are elementwise, so every row gets the same
+# bits however it is batched; the polygon kernels go through matrix
+# products, which round a lone row a few ulps apart
+@pytest.mark.parametrize(
+    "dom, rtol",
+    [
+        (unit_disk(), 0.0),
+        (PBall(4.0), 0.0),
+        (regular_polygon(4), 1e-13),
+    ],
+    ids=["disk", "pball4", "square"],
+)
+def test_segment_distances_blocked_scan_is_row_wise(dom, rtol, monkeypatch):
+    # 130 rows: more than two scan blocks of 48 rows, and not a multiple of 48
+    P, A, B = _segment_rows(dom, 130, 3)
+    sizes = []
+    inner = metric.hilbert_distances
+
+    def counting(domain, X, Y, validate=True):
+        sizes.append(len(X))
+        return inner(domain, X, Y, validate=validate)
+
+    monkeypatch.setattr(metric, "hilbert_distances", counting)
+    batched = point_to_segment_distances(dom, P, A, B, validate=False)
+    assert max(sizes) == metric._SCAN_ROWS
+    assert sizes[:3] == [metric._SCAN_ROWS, metric._SCAN_ROWS, 34 * metric._SCAN_POINTS]
+    single = [point_to_segment_distances(dom, P[i:i + 1], A[i:i + 1], B[i:i + 1])[0] for i in range(130)]
+    np.testing.assert_allclose(batched, single, rtol=rtol, atol=0.0)
+
+
+def test_reevaluate_thin_witness_matches_one_row_calls():
+    dom = PBall(4.0)
+    est = delta_thin(dom, ThinTriangleConfig(budget=4, seed=2))
+    V = np.asarray(est.witness["vertices"])
+    i = est.witness["side"]
+    p = np.asarray(est.witness["point"])
+    ones = [point_to_segment_distance(dom, p, V[i], V[j]) for j in ((i + 1) % 3, (i + 2) % 3)]
+    assert reevaluate_witness(dom, est.witness) == min(ones) == est.delta_hat
