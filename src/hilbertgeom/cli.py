@@ -221,7 +221,7 @@ def _resolve_defaults(args) -> None:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-    args.budget_raw = args.budget if args.budget is not None else config.get("budget")
+    budget_given = args.budget is not None or "budget" in config
     if args.tol is None:
         args.tol = float(config.get("tol", _DEFAULT_TOL))
     if args.budget is None:
@@ -230,6 +230,10 @@ def _resolve_defaults(args) -> None:
         args.seed = int(config.get("seed", _DEFAULT_SEED))
     if not args.tol > 0.0:
         raise ValueError("tol must be positive")
+    if args.budget < 1:
+        raise ValueError("budget must be at least 1")
+    # verify suites keep their own default budget unless one is given
+    args.budget_raw = args.budget if budget_given else None
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,7 @@ Conventions:
   start is not strictly interior (gauge >= 0) gets NaN from every
   ``ray_hits``/``ray_hits_both`` path; ``chord`` and the validating entry
   points raise ``PointNotInterior`` instead
+* a zero ray direction raises ``ValueError`` on every ray path
 * domains are immutable after construction and safe to share across threads
 """
 
@@ -35,12 +36,8 @@ from .errors import (
     PointNotInterior,
 )
 
-_BISECT_ITERS = 26
-_BISECT_WITH_GRAD = 12  # Newton finishes the job when a gradient exists
-_SECANT_ITERS = 40  # early exit once the bracket collapses
+_BISECT_STEPS = 12  # a loose bracket: Newton finishes the job
 _NEWTON_ITERS = 10
-_PROBE_ANGLES = np.arange(8) * (2.0 * np.pi / 8.0)
-_PROBE_DIRS = np.stack([np.cos(_PROBE_ANGLES), np.sin(_PROBE_ANGLES)], axis=1)
 
 
 def as_point(p) -> np.ndarray:
@@ -169,10 +166,17 @@ class Chord:
 class ConvexDomain:
     """Bounded open convex domain in the plane.
 
-    Subclasses provide :meth:`gauge`, :meth:`boundary_points`, an interior
-    anchor, a bounding radius, and either :meth:`gauge_grad` or
-    :meth:`boundary_normals`; the base class supplies generic ray casting,
-    boundary normals from the gradient, chords and supporting lines.
+    Subclasses provide :meth:`gauge`, an interior anchor, a bounding radius
+    and :meth:`to_spec`, plus one of two boundary kinds:
+
+    * :meth:`gauge_grad`: the base class then casts rays by bisection and
+      Newton on the gauge and takes boundary normals as the normalised
+      gradient;
+    * their own :meth:`ray_hits` and :meth:`boundary_normals`.
+
+    :meth:`boundary_points` defaults to the radial parameterisation (the
+    boundary hit from the anchor at angle ``t``); variants with a native
+    parameterisation override it.  Chords and supporting lines are shared.
     """
 
     param_period: float = 2.0 * np.pi
@@ -185,16 +189,21 @@ class ConvexDomain:
         raise NotImplementedError
 
     def gauge_grad(self, P) -> np.ndarray:
-        """Gradient of the gauge, or None when no analytic form exists.
+        """Gradient of the gauge.
 
-        Smooth variants supply it so ray casting can polish roots to relative
-        (not just absolute) accuracy; that matters for points whose boundary
-        gap is far below the domain diameter.
+        The generic ray cast polishes its roots with it to relative (not just
+        absolute) accuracy; that matters for points whose boundary gap is far
+        below the domain diameter.  Variants with their own ``ray_hits`` and
+        ``boundary_normals`` need not supply it.
         """
-        return None
+        raise NotImplementedError
 
     def boundary_points(self, ts) -> np.ndarray:
-        raise NotImplementedError
+        """Boundary hits of the rays from :meth:`interior_point` at angles ``ts``."""
+        t = np.atleast_1d(np.asarray(ts, dtype=float))
+        U = np.stack([np.cos(t), np.sin(t)], axis=1)
+        P0 = np.repeat(self.interior_point()[None, :], len(t), axis=0)
+        return P0 + self.ray_hits(P0, U)[:, None] * U
 
     def boundary_normals(self, B) -> np.ndarray:
         """Outward unit normals at (near-)boundary points, one per row.
@@ -239,6 +248,17 @@ class ConvexDomain:
         anchor = self.interior_point()
         return np.hypot(P[:, 0] - anchor[0], P[:, 1] - anchor[1]) + 1.05 * self.bounding_radius() + 1e-9
 
+    @staticmethod
+    def _unit_rays(P, V):
+        """Ray starts as an (n, 2) array and the directions scaled to unit
+        length; a zero direction raises ``ValueError``."""
+        P = as_points(P)
+        V = as_points(V)
+        norms = np.hypot(V[:, 0], V[:, 1])
+        if not norms.all():
+            raise ValueError("ray direction must be nonzero")
+        return P, V / norms[:, None]
+
     def ray_hits(self, P, V) -> np.ndarray:
         """First boundary hit parameter along each ray ``P[i] + t*V[i]``.
 
@@ -246,54 +266,22 @@ class ConvexDomain:
         (gauge >= 0) gets NaN, every other row its hit.  Directions are
         normalized, so the returned ``t`` are Euclidean lengths.
         """
-        P = as_points(P)
-        V = as_points(V)
-        norms = np.hypot(V[:, 0], V[:, 1])
-        if np.any(norms == 0.0):
-            raise ValueError("ray direction must be nonzero")
-        U = V / norms[:, None]
+        P, U = self._unit_rays(P, V)
         hi = self._ray_bracket(P)
         lo = np.zeros_like(hi)
-        g_lo = self.gauge(P)
-        interior = g_lo < 0.0
-        g_hi = self.gauge(P + hi[:, None] * U)
-        has_grad = self.gauge_grad(P[:1]) is not None
-        n_bisect = _BISECT_WITH_GRAD if has_grad else _BISECT_ITERS
-        for _ in range(n_bisect):
+        interior = self.gauge(P) < 0.0
+        for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
-            g_mid = self.gauge(P + mid[:, None] * U)
-            inside = g_mid < 0.0
+            inside = self.gauge(P + mid[:, None] * U) < 0.0
             lo = np.where(inside, mid, lo)
-            g_lo = np.where(inside, g_mid, g_lo)
             hi = np.where(inside, hi, mid)
-            g_hi = np.where(inside, g_hi, g_mid)
-        if has_grad:
-            # Newton with the analytic gradient replaces the secant stage:
-            # a loose bracket suffices because convexity of the gauge along
-            # the ray makes Newton globally convergent from the upper side.
-            t = self._newton_polish(P, U, 0.5 * (lo + hi), hi)
-            return np.where(interior, t, np.nan)
-        tol = 1e-14 * (1.0 + hi)
-        for _ in range(_SECANT_ITERS):
-            if np.all(hi - lo < tol):
-                break
-            denom = g_hi - g_lo
-            t = np.where(denom > 0.0, (lo * g_hi - hi * g_lo) / np.where(denom == 0.0, 1.0, denom), 0.5 * (lo + hi))
-            # keep strictly inside the bracket so both endpoints stay signed
-            t = np.clip(t, lo + 1e-17 * (1.0 + lo), hi - 1e-17 * (1.0 + hi))
-            g_t = self.gauge(P + t[:, None] * U)
-            inside = g_t < 0.0
-            lo = np.where(inside, t, lo)
-            g_lo = np.where(inside, g_t, g_lo)
-            hi = np.where(inside, hi, t)
-            g_hi = np.where(inside, g_hi, g_t)
-        denom = g_hi - g_lo
-        t = np.where(denom > 0.0, (lo * g_hi - hi * g_lo) / np.where(denom == 0.0, 1.0, denom), 0.5 * (lo + hi))
-        t = np.clip(t, lo, hi)
+        # a loose bracket suffices: convexity of the gauge along the ray
+        # makes Newton globally convergent from the upper side
+        t = self._newton_polish(P, U, 0.5 * (lo + hi), hi)
         return np.where(interior, t, np.nan)
 
     def _newton_polish(self, P: np.ndarray, U: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sharpen ray roots with Newton steps when a gauge gradient exists.
+        """Sharpen ray roots with Newton steps on the gauge gradient.
 
         The bracketed solve above is accurate in absolute terms; roots much
         smaller than the bracket need these steps to become accurate in
@@ -408,21 +396,9 @@ class Ellipse(ConvexDomain):
         return max(self.semi_axes)
 
     def ray_hits(self, P, V) -> np.ndarray:
-        P = as_points(P)
-        V = as_points(V)
-        norms = np.hypot(V[:, 0], V[:, 1])
-        U = V / norms[:, None]
-        Z = self._local(P)
+        P, U = self._unit_rays(P, V)
         W = (U @ self._rot) * self._inv_axes
-        A = np.einsum("ij,ij->i", W, W)
-        B = np.einsum("ij,ij->i", Z, W)
-        C = np.einsum("ij,ij->i", Z, Z) - 1.0
-        # a start with C >= 0 is not interior: its NaN propagates quietly to
-        # t; with C < 0 the discriminant is positive and needs no clamp
-        C = np.where(C < 0.0, C, np.nan)
-        disc = np.sqrt(B * B - A * C)
-        # stable positive root of A t^2 + 2 B t + C = 0 with C < 0
-        return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
+        return _unit_conic_hits(self._local(P), W, np.einsum("ij,ij->i", W, W))
 
     def to_spec(self) -> dict:
         return {
@@ -472,17 +448,8 @@ class PBall(ConvexDomain):
 
     def ray_hits(self, P, V) -> np.ndarray:
         if self.p == 2.0:
-            P = as_points(P)
-            V = as_points(V)
-            norms = np.hypot(V[:, 0], V[:, 1])
-            U = V / norms[:, None]
-            Z = (P - self.center) / self.radius
-            B = np.einsum("ij,ij->i", Z, U)
-            C = np.einsum("ij,ij->i", Z, Z) - 1.0
-            C = np.where(C < 0.0, C, np.nan)  # as in Ellipse.ray_hits
-            disc = np.sqrt(B * B - C)
-            t = np.where(B > 0.0, -C / (B + disc), disc - B)
-            return t * self.radius
+            P, U = self._unit_rays(P, V)
+            return _unit_conic_hits((P - self.center) / self.radius, U, 1.0) * self.radius
         return super().ray_hits(P, V)
 
     def to_spec(self) -> dict:
@@ -581,10 +548,7 @@ class Polygon(ConvexDomain):
         return float(np.max(d))
 
     def ray_hits(self, P, V) -> np.ndarray:
-        P = as_points(P)
-        V = as_points(V)
-        norms = np.hypot(V[:, 0], V[:, 1])
-        U = V / norms[:, None]
+        P, U = self._unit_rays(P, V)
         den = self._edge_normals @ U.T
         D = self._slacks(P)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -632,13 +596,6 @@ class SmoothedPolygon(ConvexDomain):
         W = np.exp(A - A.max(axis=0))
         return (W / W.sum(axis=0)).T @ self._poly._edge_normals
 
-    def boundary_points(self, ts) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
-        U = np.stack([np.cos(t), np.sin(t)], axis=1)
-        P0 = np.repeat(self._anchor[None, :], len(t), axis=0)
-        hit = self.ray_hits(P0, U)
-        return P0 + hit[:, None] * U
-
     def interior_point(self) -> np.ndarray:
         return self._anchor
 
@@ -681,13 +638,6 @@ class PowerCap(ConvexDomain):
         gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * np.abs(Q[:, 0]) ** (self.alpha - 1.0), 0.0)
         gy = np.where(lower, -1.0, 1.0)
         return np.stack([gx, gy], axis=1)
-
-    def boundary_points(self, ts) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(ts, dtype=float))
-        U = np.stack([np.cos(t), np.sin(t)], axis=1)
-        P0 = np.repeat(self._anchor[None, :], len(t), axis=0)
-        hit = self.ray_hits(P0, U)
-        return P0 + hit[:, None] * U
 
     def interior_point(self) -> np.ndarray:
         return self._anchor
@@ -783,10 +733,7 @@ class ProjectiveImage(ConvexDomain):
         return self.ray_hits_both(P, V)[0]
 
     def ray_hits_both(self, P, V):
-        P = as_points(P)
-        V = as_points(V)
-        norms = np.hypot(V[:, 0], V[:, 1])
-        U = V / norms[:, None]
+        P, U = self._unit_rays(P, V)
         Minv = self._inv.matrix
         hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ Minv.T
         # a pulled-back w of the wrong sign puts the start beyond the line
@@ -816,6 +763,22 @@ class ProjectiveImage(ConvexDomain):
             "matrix": self.map.matrix.tolist(),
             "inner": self.inner.to_spec(),
         }
+
+
+def _unit_conic_hits(Z: np.ndarray, W: np.ndarray, A) -> np.ndarray:
+    """Positive roots ``t`` of ``|Z + t W|^2 = 1``, with ``A = |W|^2``.
+
+    ``Z`` are ray starts and ``W`` directions in the frame where the conic is
+    the unit circle.  A start with ``|Z| >= 1`` is not interior: its NaN
+    propagates quietly to ``t``; every other start has a positive
+    discriminant, which needs no clamp.
+    """
+    B = np.einsum("ij,ij->i", Z, W)
+    C = np.einsum("ij,ij->i", Z, Z) - 1.0
+    C = np.where(C < 0.0, C, np.nan)
+    disc = np.sqrt(B * B - A * C)
+    # stable positive root of A t^2 + 2 B t + C = 0 with C < 0
+    return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
 
 
 def _shoelace2(V: np.ndarray) -> float:

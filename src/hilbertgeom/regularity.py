@@ -158,7 +158,6 @@ class RegularityReport:
     """Constant chain and bound margin for one convex boundary function."""
 
     H: float
-    K: float
     H2: float
     alpha: float
     M: float
@@ -168,7 +167,6 @@ class RegularityReport:
     def to_jsonable(self) -> dict:
         return {
             "H": self.H,
-            "K": self.K,
             "H2": self.H2,
             "alpha": self.alpha,
             "M": self.M,
@@ -203,7 +201,7 @@ def holder_bound_check(f: SampledFunction, a: float = None, H: float = None) -> 
     inner = (np.abs(x) <= a) & (np.abs(x) > 0)
     bound = 160.0 * (H2 + 1.0) * M * np.abs(x[inner]) ** alpha
     margin = float(np.min(bound - v[inner]))
-    return RegularityReport(H=H, K=H2, H2=H2, alpha=alpha, M=M, bound_margin=margin)
+    return RegularityReport(H=H, H2=H2, alpha=alpha, M=M, bound_margin=margin)
 
 
 @dataclass(frozen=True)
@@ -269,11 +267,11 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
     if flat:
         H = 1.0
         H2, alpha = chain_constants(H, a)
-        return RegularityReport(H=H, K=H2, H2=H2, alpha=alpha, M=0.0,
+        return RegularityReport(H=H, H2=H2, alpha=alpha, M=0.0,
                                 bound_margin=0.0, non_strictly_convex=True)
     H = qsc_constant(f)
     if not np.isfinite(H):
-        return RegularityReport(H=math.inf, K=math.inf, H2=math.inf, alpha=1.0,
+        return RegularityReport(H=math.inf, H2=math.inf, alpha=1.0,
                                 M=float(max(strip.f[(n - 1) // 4], strip.f[3 * ((n - 1) // 4)])),
                                 bound_margin=-math.inf, non_strictly_convex=True)
     report = holder_bound_check(f, a=a, H=H)

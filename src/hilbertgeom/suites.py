@@ -100,6 +100,8 @@ def _nested_pair(rng, flavor: int):
 
 
 def run_comparison_suite(pairs: int = 150, seed: int = 0) -> SuiteReport:
+    if pairs < 1:
+        raise ValueError("comparison suite needs at least one pair")
     rng = np.random.default_rng(seed)
     norm_bad = dist_bad = meas_bad = 0
     worst_norm = worst_dist = worst_meas = 0.0
@@ -349,12 +351,13 @@ def run_ball_growth_suite(tol: float = 1e-3) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # registry
 
+# name -> runner taking (budget, seed, tol); budget None means the default
 SUITES = {
-    "comparison": run_comparison_suite,
-    "finite-area": run_finite_area_suite,
-    "graph": run_graph_suite,
-    "regularity": run_regularity_suite,
-    "ball-growth": run_ball_growth_suite,
+    "comparison": lambda budget, seed, tol: run_comparison_suite(150 if budget is None else budget, seed),
+    "finite-area": lambda budget, seed, tol: run_finite_area_suite(tol),
+    "graph": lambda budget, seed, tol: run_graph_suite(),
+    "regularity": lambda budget, seed, tol: run_regularity_suite(),
+    "ball-growth": lambda budget, seed, tol: run_ball_growth_suite(tol),
 }
 
 # accepted spellings for suites named after the numbered statements they check
@@ -375,10 +378,4 @@ def run_suite(name: str, budget: int | None = None, seed: int = 0, tol: float = 
     key = SUITE_ALIASES.get(key, key)
     if key not in SUITES:
         raise KeyError(f"unknown suite: {name}")
-    if key == "comparison":
-        return run_comparison_suite(pairs=budget if budget else 150, seed=seed)
-    if key == "finite-area":
-        return run_finite_area_suite(tol=tol)
-    if key == "ball-growth":
-        return run_ball_growth_suite(tol=tol)
-    return SUITES[key]()
+    return SUITES[key](budget, seed, tol)

@@ -176,3 +176,17 @@ def test_area_zero_tol_exits_2(capsys):
     code, _, err = _run(capsys, ["area", "--spec", DISK_SPEC, "0", "1", "2", "--tol", "0"])
     assert code == 2
     assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_budget_below_one_exits_2(tmp_path, capsys, budget):
+    code, out, err = _run(capsys, ["verify", "comparison", "--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert "budget must be at least 1" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": int(budget)}))
+    code, out, err = _run(capsys, ["verify", "comparison", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "budget must be at least 1" in err

@@ -203,8 +203,6 @@ def test_pball_ray_boundary_property(p, theta, radial):
 def _reference_newton_polish(self, P, U, t, hi):
     """The all-rows Newton loop the per-row version replaced: every row steps
     until all rows have converged, for at most the same number of steps."""
-    if self.gauge_grad(P) is None:
-        return t
     for _ in range(_NEWTON_ITERS):
         X = P + t[:, None] * U
         g = self.gauge(X)
@@ -288,6 +286,25 @@ def test_projective_ray_hits_nan_beyond_line_at_infinity():
     assert np.all(np.isfinite(t_plus[[0, 3]])) and np.all(t_plus[[0, 3]] > 0.0)
 
 
+_RAY_PATHS = [
+    PBall(4.0, center=(0.2, -0.1), scale=1.3),
+    Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3),
+    unit_disk(),
+    regular_polygon(4),
+    ProjectiveImage(PBall(4.0), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]])),
+]
+
+
+@pytest.mark.parametrize("dom", _RAY_PATHS, ids=["generic", "ellipse", "pball2", "polygon", "projective"])
+def test_zero_ray_direction_raises_on_every_path(dom):
+    P = np.repeat(dom.interior_point()[None], 3, axis=0)
+    V = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="ray direction must be nonzero"):
+        dom.ray_hits(P, V)
+    with pytest.raises(ValueError, match="ray direction must be nonzero"):
+        dom.ray_hits_both(P, V)
+
+
 def test_polygon_ray_hits_parallel_edges_exact():
     # two edges are parallel to the ray (den == 0): they must not be hit
     square = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -360,9 +377,8 @@ _POLYGON_FAMILY = (
 def _edge_kernel_outputs(dom, P, U):
     t = dom.ray_hits(P, U)
     out = {"gauge": dom.gauge(P), "ray_hits": t, "boundary_normals": dom.boundary_normals(P + t[:, None] * U)}
-    grad = dom.gauge_grad(P)
-    if grad is not None:
-        out["gauge_grad"] = grad
+    if isinstance(dom, SmoothedPolygon):
+        out["gauge_grad"] = dom.gauge_grad(P)
     return out
 
 
@@ -451,3 +467,104 @@ def test_shared_boundary_normals_match_per_class_formulas(dom, own):
 
 def test_shared_boundary_normals_zero_gradient_gives_zero_row():
     assert np.array_equal(PBall(4.0).boundary_normals([[0.0, 0.0]]), [[0.0, 0.0]])
+
+
+# The ray casts the shared set-up and solvers replaced, kept as references:
+# the generic solver with its bracket-end gauge, g_lo/g_hi tracking and
+# gradient probe (every domain compared here has a gradient, so its secant
+# stage is left out), and the inline conic roots of Ellipse and PBall(2).
+
+
+def _reference_generic_ray_hits(self, P, V):
+    P = as_points(P)
+    V = as_points(V)
+    norms = np.hypot(V[:, 0], V[:, 1])
+    if np.any(norms == 0.0):
+        raise ValueError("ray direction must be nonzero")
+    U = V / norms[:, None]
+    hi = self._ray_bracket(P)
+    lo = np.zeros_like(hi)
+    g_lo = self.gauge(P)
+    interior = g_lo < 0.0
+    g_hi = self.gauge(P + hi[:, None] * U)
+    assert self.gauge_grad(P[:1]) is not None
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        g_mid = self.gauge(P + mid[:, None] * U)
+        inside = g_mid < 0.0
+        lo = np.where(inside, mid, lo)
+        g_lo = np.where(inside, g_mid, g_lo)
+        hi = np.where(inside, hi, mid)
+        g_hi = np.where(inside, g_hi, g_mid)
+    t = self._newton_polish(P, U, 0.5 * (lo + hi), hi)
+    return np.where(interior, t, np.nan)
+
+
+def _reference_ellipse_ray_hits(self, P, V):
+    P = as_points(P)
+    V = as_points(V)
+    U = V / np.hypot(V[:, 0], V[:, 1])[:, None]
+    Z = self._local(P)
+    W = (U @ self._rot) * self._inv_axes
+    A = np.einsum("ij,ij->i", W, W)
+    B = np.einsum("ij,ij->i", Z, W)
+    C = np.einsum("ij,ij->i", Z, Z) - 1.0
+    C = np.where(C < 0.0, C, np.nan)
+    disc = np.sqrt(B * B - A * C)
+    return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
+
+
+def _reference_disk_ray_hits(self, P, V):
+    P = as_points(P)
+    V = as_points(V)
+    U = V / np.hypot(V[:, 0], V[:, 1])[:, None]
+    Z = (P - self.center) / self.radius
+    B = np.einsum("ij,ij->i", Z, U)
+    C = np.einsum("ij,ij->i", Z, Z) - 1.0
+    C = np.where(C < 0.0, C, np.nan)
+    disc = np.sqrt(B * B - C)
+    return np.where(B > 0.0, -C / (B + disc), disc - B) * self.radius
+
+
+_GENERIC_PATH = ("pball1.5", "pball4", "pball20", "smoothed", "smoothed0.05", "smoothed0.2", "power-cap", "projective")
+
+
+def _ray_cases(equivalence_domains, names):
+    """Per domain: the fixture points plus one exterior start, and random
+    unnormalised directions."""
+    rng = np.random.default_rng(RNG_SEED)
+    for name in names:
+        dom, P, _ = equivalence_domains[name]
+        P = np.concatenate([P, dom.interior_point()[None] + [3.0 * dom.bounding_radius(), 0.0]])
+        V = rng.uniform(-2.0, 2.0, (len(P), 2))
+        yield name, dom, P, V
+
+
+def _both_hits(dom, P, V):
+    return (dom.ray_hits(P, V),) + tuple(dom.ray_hits_both(P, V))
+
+
+def test_generic_ray_hits_match_reference_bitwise(equivalence_domains, monkeypatch):
+    cases = [(name, dom, P, V, _both_hits(dom, P, V)) for name, dom, P, V in
+             _ray_cases(equivalence_domains, _GENERIC_PATH)]
+    monkeypatch.setattr(ConvexDomain, "ray_hits", _reference_generic_ray_hits)
+    for name, dom, P, V, new in cases:
+        for got, ref in zip(new, _both_hits(dom, P, V)):
+            assert np.isnan(got[-1]), name
+            assert np.array_equal(got, ref, equal_nan=True), name
+
+
+@pytest.mark.parametrize("name, reference", [("pball2", _reference_disk_ray_hits),
+                                             ("ellipse", _reference_ellipse_ray_hits)])
+def test_conic_ray_hits_match_inline_roots_bitwise(equivalence_domains, name, reference):
+    (_, dom, P, V), = _ray_cases(equivalence_domains, [name])
+    cases = [(dom, P)]
+    if name == "pball2":
+        # the same points on a shifted, scaled disk
+        cases.append((PBall(2.0, center=(0.2, -0.1), scale=1.3), (0.2, -0.1) + 1.3 * P))
+    for dom, P in cases:
+        t_plus, t_minus = dom.ray_hits_both(P, V)
+        assert np.isnan(t_plus[-1])
+        for got, ref in ((dom.ray_hits(P, V), reference(dom, P, V)), (t_plus, reference(dom, P, V)),
+                         (t_minus, reference(dom, P, -V))):
+            assert np.array_equal(got, ref, equal_nan=True)

@@ -149,7 +149,7 @@ def test_boundary_regularity_report_disk():
     assert rep.bound_margin >= -1e-9
     assert not rep.non_strictly_convex
     blob = rep.to_jsonable()
-    assert set(blob) >= {"H", "K", "H2", "alpha", "M", "bound_margin", "non_strictly_convex"}
+    assert set(blob) == {"H", "H2", "alpha", "M", "bound_margin", "non_strictly_convex"}
 
 
 def test_boundary_regularity_report_quartic():

@@ -53,3 +53,11 @@ def test_run_suite_dispatch_and_aliases():
     assert run_suite("lemma-a3").suite == "graph"
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("pairs", [0, -5])
+def test_comparison_suite_rejects_no_pairs(pairs):
+    with pytest.raises(ValueError, match="at least one pair"):
+        run_comparison_suite(pairs=pairs)
+    with pytest.raises(ValueError, match="at least one pair"):
+        run_suite("comparison", budget=pairs)
