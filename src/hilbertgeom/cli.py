@@ -25,6 +25,8 @@ EXIT_USAGE = 2
 _DEFAULT_TOL = 1e-3
 _DEFAULT_BUDGET = 24
 _DEFAULT_SEED = 0
+# config-file fields: the accepted JSON types (never a bool) and their name
+_CONFIG_FIELDS = {"tol": ((int, float), "a number"), "budget": (int, "an integer"), "seed": (int, "an integer")}
 
 SWEEP_HEADER = "label,param,delta_thin,delta_4pt,sup_area,diverged,seed"
 _PBALL_GRID = (2.0, 3.0, 4.0, 6.0, 10.0, 20.0)
@@ -221,13 +223,17 @@ def _resolve_defaults(args) -> None:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+    for key, (kinds, kind_name) in _CONFIG_FIELDS.items():
+        value = config.get(key)
+        if key in config and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ValueError(f"config field {key!r} must be {kind_name}, not {json.dumps(value)}")
     budget_given = args.budget is not None or "budget" in config
     if args.tol is None:
         args.tol = float(config.get("tol", _DEFAULT_TOL))
     if args.budget is None:
-        args.budget = int(config.get("budget", _DEFAULT_BUDGET))
+        args.budget = config.get("budget", _DEFAULT_BUDGET)
     if args.seed is None:
-        args.seed = int(config.get("seed", _DEFAULT_SEED))
+        args.seed = config.get("seed", _DEFAULT_SEED)
     if not args.tol > 0.0:
         raise ValueError("tol must be positive")
     if args.budget < 1:

@@ -18,6 +18,9 @@ Conventions:
   ``ray_hits``/``ray_hits_both`` path; ``chord`` and the validating entry
   points raise ``PointNotInterior`` instead
 * a zero ray direction raises ``ValueError`` on every ray path
+* gauges are convex; a variant without its own ray cast also gives a
+  gradient (any subgradient at a kink) and ``_outer``, a circumscribed
+  polygon on whose boundary the gauge is ``>= 0``
 * domains are immutable after construction and safe to share across threads
 """
 
@@ -36,8 +39,9 @@ from .errors import (
     PointNotInterior,
 )
 
-_BISECT_STEPS = 12  # a loose bracket: Newton finishes the job
-_NEWTON_ITERS = 10
+# a near-tangent ray at worst halves its distance to the hit per Newton round,
+# and 53 halvings exhaust double precision; converged rows leave early
+_NEWTON_ITERS = 64
 
 
 def as_point(p) -> np.ndarray:
@@ -169,9 +173,10 @@ class ConvexDomain:
     Subclasses provide :meth:`gauge`, an interior anchor, a bounding radius
     and :meth:`to_spec`, plus one of two boundary kinds:
 
-    * :meth:`gauge_grad`: the base class then casts rays by bisection and
-      Newton on the gauge and takes boundary normals as the normalised
-      gradient;
+    * :meth:`gauge_grad` plus ``_outer``, a circumscribed :class:`Polygon`
+      on whose boundary the gauge is ``>= 0``: the base class then casts
+      rays by Newton on the gauge from the closed-form exit of ``_outer``
+      and takes boundary normals as the normalised gradient;
     * their own :meth:`ray_hits` and :meth:`boundary_normals`.
 
     :meth:`boundary_points` defaults to the radial parameterisation (the
@@ -189,12 +194,13 @@ class ConvexDomain:
         raise NotImplementedError
 
     def gauge_grad(self, P) -> np.ndarray:
-        """Gradient of the gauge.
+        """Gradient (or, at a kink, any subgradient) of the gauge.
 
-        The generic ray cast polishes its roots with it to relative (not just
-        absolute) accuracy; that matters for points whose boundary gap is far
-        below the domain diameter.  Variants with their own ``ray_hits`` and
-        ``boundary_normals`` need not supply it.
+        The generic ray cast takes its Newton steps with it, which makes its
+        roots accurate in relative (not just absolute) terms; that matters
+        for points whose boundary gap is far below the domain diameter.
+        Variants with their own ``ray_hits`` and ``boundary_normals`` need
+        not supply it.
         """
         raise NotImplementedError
 
@@ -244,10 +250,6 @@ class ConvexDomain:
         ts = np.linspace(0.0, self.param_period, n, endpoint=False)
         return self.boundary_points(ts)
 
-    def _ray_bracket(self, P: np.ndarray) -> np.ndarray:
-        anchor = self.interior_point()
-        return np.hypot(P[:, 0] - anchor[0], P[:, 1] - anchor[1]) + 1.05 * self.bounding_radius() + 1e-9
-
     @staticmethod
     def _unit_rays(P, V):
         """Ray starts as an (n, 2) array and the directions scaled to unit
@@ -265,53 +267,28 @@ class ConvexDomain:
         ``P`` is not validated: a row whose start is not strictly interior
         (gauge >= 0) gets NaN, every other row its hit.  Directions are
         normalized, so the returned ``t`` are Euclidean lengths.
+
+        Newton on the gauge starts at the ray's exit from ``_outer``, where
+        the gauge is ``>= 0``.  The gauge is convex along the ray and
+        negative at its start, so every slope met from there is positive and
+        the iterates descend monotonically onto the hit.  Each row stops on
+        its own, once a step no longer moves it down by more than 1e-16
+        relative, and leaves the batch.
         """
         P, U = self._unit_rays(P, V)
-        hi = self._ray_bracket(P)
-        lo = np.zeros_like(hi)
-        interior = self.gauge(P) < 0.0
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            inside = self.gauge(P + mid[:, None] * U) < 0.0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        # a loose bracket suffices: convexity of the gauge along the ray
-        # makes Newton globally convergent from the upper side
-        t = self._newton_polish(P, U, 0.5 * (lo + hi), hi)
-        return np.where(interior, t, np.nan)
-
-    def _newton_polish(self, P: np.ndarray, U: np.ndarray, t: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Sharpen ray roots with Newton steps on the gauge gradient.
-
-        The bracketed solve above is accurate in absolute terms; roots much
-        smaller than the bracket need these steps to become accurate in
-        relative terms.  The gauge is convex along the outward ray, so the
-        iteration is kept inside [0, hi] and simply stalls if the gradient
-        degenerates.
-
-        Each row stops on its own: once its step is at most 1e-16 relative
-        it keeps that step's value and leaves the batch, so the gauge and its
-        gradient are evaluated only on the rows still moving.
-        """
-        t = t.copy()
-        rows = np.arange(len(t))
-        t_r, P_r, U_r, hi_r = t, P, U, hi
+        t = np.full(len(P), np.nan)
+        rows = np.flatnonzero(self.gauge(P) < 0.0)
+        P_r, U_r = P[rows], U[rows]
+        t_r = self._outer.ray_hits(P_r, U_r)
         for _ in range(_NEWTON_ITERS):
             X = P_r + t_r[:, None] * U_r
-            g = self.gauge(X)
-            grad = self.gauge_grad(X)
-            slope = np.einsum("ij,ij->i", grad, U_r)
-            ok = slope > 0.0
-            # a non-positive slope means the iterate sits before the gauge's
-            # line minimum along the ray; restart that ray from the outer
-            # bracket, where convexity guarantees monotone descent
-            t_new = np.where(ok, t_r - g / np.where(ok, slope, 1.0), hi_r)
-            t_new = np.clip(t_new, 0.0, hi_r)
-            moving = np.abs(t_new - t_r) > 1e-16 * (1.0 + t_r)
+            slope = np.einsum("ij,ij->i", self.gauge_grad(X), U_r)
+            t_new = t_r - self.gauge(X) / slope
             t[rows] = t_new
+            moving = t_r - t_new > 1e-16 * (1.0 + t_r)
             if not moving.any():
                 break
-            rows, t_r, P_r, U_r, hi_r = rows[moving], t_new[moving], P_r[moving], U_r[moving], hi_r[moving]
+            rows, t_r, P_r, U_r = rows[moving], t_new[moving], P_r[moving], U_r[moving]
         return t
 
     def ray_hits_both(self, P, V):
@@ -424,6 +401,10 @@ class PBall(ConvexDomain):
         self.center.setflags(write=False)
         # p = 1 is the diamond: flat sides, corner points
         self.strictly_convex = p > 1.0
+        # on the square |x|, |y| <= 1 with one of them = 1, the local gauge
+        # |x|^p + |y|^p - 1 lies in [0, 1] for every p
+        c, r = self.center, self.radius
+        self._outer = Polygon(c + r * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
 
     def gauge(self, P) -> np.ndarray:
         Z = (as_points(P) - self.center) / self.radius
@@ -551,7 +532,8 @@ class Polygon(ConvexDomain):
         P, U = self._unit_rays(P, V)
         den = self._edge_normals @ U.T
         D = self._slacks(P)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the entries masked out (den <= 1e-300) may divide by zero or overflow
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = np.where(den > 1e-300, -D / den, np.inf)
         t = np.where(t >= 0.0, t, np.inf)
         return np.where(D.max(axis=0) < 0.0, t.min(axis=0), np.nan)
@@ -580,7 +562,8 @@ class SmoothedPolygon(ConvexDomain):
         if smoothing <= 0:
             raise ValueError("smoothing must be positive")
         base = Polygon(vertices)
-        self._poly = base
+        # log-sum-exp >= max: the gauge is >= 0 on the polygon itself
+        self._poly = self._outer = base
         self.smoothing = float(smoothing)
         self._anchor = base.interior_point()
         if self.gauge1(self._anchor) >= 0.0:
@@ -625,6 +608,9 @@ class PowerCap(ConvexDomain):
         if alpha <= 1.0:
             raise ValueError("exponent must exceed 1")
         self.alpha = alpha
+        # |x| < 1 and 0 < y < 1 inside: on this box the gauge is >= 0, and its
+        # axis-aligned slacks round to < 0 at every start with gauge < 0
+        self._outer = Polygon([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
         self._anchor = np.array([0.0, 0.5])
         self._anchor.setflags(write=False)
 
@@ -679,9 +665,9 @@ class ProjectiveImage(ConvexDomain):
             anchor_w = -anchor_w
         if np.min(w) <= 1e-9 * wscale or anchor_w <= 1e-9 * wscale:
             raise ImproperImage("projective image is not a bounded convex domain")
-        self._boundary_cache = hom[:, :2] / hom[:, 2][:, None]
+        boundary = hom[:, :2] / hom[:, 2][:, None]
         self._anchor = H.apply(inner.interior_point())
-        r = np.hypot(self._boundary_cache[:, 0] - self._anchor[0], self._boundary_cache[:, 1] - self._anchor[1])
+        r = np.hypot(boundary[:, 0] - self._anchor[0], boundary[:, 1] - self._anchor[1])
         self._bounding = float(np.max(r)) * 1.05 + 1e-12
         self.param_period = inner.param_period
         self.boundary_tol = max(inner.boundary_tol, 1e-10)
@@ -784,11 +770,6 @@ def _unit_conic_hits(Z: np.ndarray, W: np.ndarray, A) -> np.ndarray:
 def _shoelace2(V: np.ndarray) -> float:
     x, y = V[:, 0], V[:, 1]
     return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def polygon_area(V) -> float:
-    """Euclidean area of a polygon given by its vertex cycle."""
-    return 0.5 * abs(_shoelace2(as_points(V)))
 
 
 def domain_from_spec(spec: dict) -> ConvexDomain:

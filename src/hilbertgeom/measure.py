@@ -218,15 +218,6 @@ def _validate_region(domain: ConvexDomain, V: np.ndarray) -> None:
             raise ValueError("region polygon must be convex")
 
 
-def graph_region_polygon(f, x_lo: float, x_hi: float, y_top: float, n: int = 256) -> np.ndarray:
-    """Polygonal region between the graph of ``f`` and the line y = y_top."""
-    xs = np.linspace(x_lo, x_hi, n)
-    ys = np.asarray([float(f(x)) for x in xs])
-    lower = np.stack([xs, ys], axis=1)
-    cap = np.array([[x_hi, y_top], [x_lo, y_top]])
-    return np.concatenate([lower, cap], axis=0)
-
-
 def region_area(
     domain: ConvexDomain,
     region,

@@ -190,3 +190,25 @@ def test_verify_budget_below_one_exits_2(tmp_path, capsys, budget):
     assert code == 2
     assert out == ""
     assert "budget must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"budget": 2.5}, {"budget": True}, {"budget": "4"}, {"seed": 1.9}, {"seed": False}, {"seed": None},
+     {"tol": True}, {"tol": "1e-3"}, {"tol": [0.001]}],
+)
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(field))
+    code, out, err = _run(capsys, ["verify", "comparison", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert f"config field {next(iter(field))!r} must be" in err
+
+
+def test_config_accepts_integer_tol(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1, "seed": 3, "budget": 2}))
+    code, out, _ = _run(capsys, ["dist", "--spec", DISK_SPEC, "0", "0", "0.5", "0", "--config", str(cfg)])
+    assert code == 0
+    assert out.strip() == "0.549306"
