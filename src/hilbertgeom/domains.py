@@ -20,7 +20,8 @@ Conventions:
 * a zero ray direction raises ``ValueError`` on every ray path
 * gauges are convex; a variant without its own ray cast also gives a
   gradient (any subgradient at a kink) and ``_outer``, a circumscribed
-  polygon on whose boundary the gauge is ``>= 0``
+  polygon on whose boundary the gauge is ``>= 0`` (p-balls cast to one
+  shared unit square in their own local coordinates instead)
 * domains are immutable after construction and safe to share across threads
 """
 
@@ -176,7 +177,8 @@ class ConvexDomain:
     * :meth:`gauge_grad` plus ``_outer``, a circumscribed :class:`Polygon`
       on whose boundary the gauge is ``>= 0``: the base class then casts
       rays by Newton on the gauge from the closed-form exit of ``_outer``
-      and takes boundary normals as the normalised gradient;
+      (:meth:`_outer_hits`) and takes boundary normals as the normalised
+      gradient;
     * their own :meth:`ray_hits` and :meth:`boundary_normals`.
 
     :meth:`boundary_points` defaults to the radial parameterisation (the
@@ -278,8 +280,10 @@ class ConvexDomain:
         P, U = self._unit_rays(P, V)
         t = np.full(len(P), np.nan)
         rows = np.flatnonzero(self.gauge(P) < 0.0)
+        # exits for the whole batch, so that any polygon slacks the gauge
+        # shares round as they did in gauge(P) and no interior row gets NaN
+        t_r = self._outer_hits(P, U)[rows]
         P_r, U_r = P[rows], U[rows]
-        t_r = self._outer.ray_hits(P_r, U_r)
         for _ in range(_NEWTON_ITERS):
             X = P_r + t_r[:, None] * U_r
             slope = np.einsum("ij,ij->i", self.gauge_grad(X), U_r)
@@ -289,7 +293,14 @@ class ConvexDomain:
             if not moving.any():
                 break
             rows, t_r, P_r, U_r = rows[moving], t_new[moving], P_r[moving], U_r[moving]
-        return t
+        # the last step of a start within rounding of the boundary can land
+        # a hair below 0; NaN rows stay NaN
+        return np.maximum(t, 0.0)
+
+    def _outer_hits(self, P, U):
+        """Exits of the unit-direction rays from ``_outer`` (NaN for a start
+        not inside it); a start with gauge < 0 must be inside it."""
+        return self._outer.ray_hits(P, U)
 
     def ray_hits_both(self, P, V):
         """Hit parameters along ``+V`` and ``-V`` (two arrays)."""
@@ -401,10 +412,6 @@ class PBall(ConvexDomain):
         self.center.setflags(write=False)
         # p = 1 is the diamond: flat sides, corner points
         self.strictly_convex = p > 1.0
-        # on the square |x|, |y| <= 1 with one of them = 1, the local gauge
-        # |x|^p + |y|^p - 1 lies in [0, 1] for every p
-        c, r = self.center, self.radius
-        self._outer = Polygon(c + r * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
 
     def gauge(self, P) -> np.ndarray:
         Z = (as_points(P) - self.center) / self.radius
@@ -433,6 +440,13 @@ class PBall(ConvexDomain):
             return _unit_conic_hits((P - self.center) / self.radius, U, 1.0) * self.radius
         return super().ray_hits(P, V)
 
+    def _outer_hits(self, P, U):
+        # from the unit square in the local coordinates the gauge computes:
+        # |x|^p + |y|^p - 1 lies in [0, 1] on its boundary for every p, and
+        # a start with local gauge < 0 has |x|, |y| < 1, which its exact
+        # axis-aligned slacks see the same way
+        return _UNIT_SQUARE.ray_hits((P - self.center) / self.radius, U) * self.radius
+
     def to_spec(self) -> dict:
         return {
             "type": "pball",
@@ -444,6 +458,11 @@ class PBall(ConvexDomain):
 
 def unit_disk() -> PBall:
     return PBall(2.0)
+
+
+def _shoelace2(V: np.ndarray) -> float:
+    x, y = V[:, 0], V[:, 1]
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 class Polygon(ConvexDomain):
@@ -542,6 +561,10 @@ class Polygon(ConvexDomain):
         return {"type": "polygon", "vertices": self.vertices.tolist()}
 
 
+# the outer polygon of every p-ball, in its local coordinates
+_UNIT_SQUARE = Polygon([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
 def regular_polygon(sides: int, circumradius: float = 1.0, center=(0.0, 0.0), phase: float = 0.0) -> Polygon:
     if sides < 3:
         raise ValueError("need at least three sides")
@@ -602,15 +625,15 @@ class PowerCap(ConvexDomain):
     """
 
     strictly_convex = False
+    # |x| < 1 and 0 < y < 1 inside: on this box the gauge is >= 0, and its
+    # axis-aligned slacks round to < 0 at every start with gauge < 0
+    _outer = Polygon([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
 
     def __init__(self, alpha: float):
         alpha = float(alpha)
         if alpha <= 1.0:
             raise ValueError("exponent must exceed 1")
         self.alpha = alpha
-        # |x| < 1 and 0 < y < 1 inside: on this box the gauge is >= 0, and its
-        # axis-aligned slacks round to < 0 at every start with gauge < 0
-        self._outer = Polygon([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
         self._anchor = np.array([0.0, 0.5])
         self._anchor.setflags(write=False)
 
@@ -765,11 +788,6 @@ def _unit_conic_hits(Z: np.ndarray, W: np.ndarray, A) -> np.ndarray:
     disc = np.sqrt(B * B - A * C)
     # stable positive root of A t^2 + 2 B t + C = 0 with C < 0
     return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
-
-
-def _shoelace2(V: np.ndarray) -> float:
-    x, y = V[:, 0], V[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def domain_from_spec(spec: dict) -> ConvexDomain:

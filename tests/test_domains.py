@@ -15,6 +15,7 @@ from hilbertgeom.domains import (
     ProjectiveImage,
     ProjectiveMap,
     SmoothedPolygon,
+    _UNIT_SQUARE,
     as_points,
     domain_from_json,
     domain_from_spec,
@@ -555,10 +556,15 @@ def test_conic_ray_hits_match_inline_roots_bitwise(equivalence_domains, name, re
 
 @pytest.mark.parametrize("name", [n for n in _GENERIC_PATH if n != "projective"])
 def test_generic_gauge_nonnegative_on_outer_polygon(equivalence_domains, name):
-    # the precondition of Newton's monotone descent from the outer exit
+    # the precondition of Newton's monotone descent from the outer exit;
+    # p-balls cast from the unit square in their own local coordinates
     dom = equivalence_domains[name][0]
-    assert np.all(dom.gauge(dom._outer.boundary_samples(4096)) >= 0.0)
-    assert np.all(dom.gauge(dom._outer.vertices) >= 0.0)
+    if isinstance(dom, PBall):
+        dom, outer = PBall(dom.p), _UNIT_SQUARE
+    else:
+        outer = dom._outer
+    assert np.all(dom.gauge(outer.boundary_samples(4096)) >= 0.0)
+    assert np.all(dom.gauge(outer.vertices) >= 0.0)
 
 
 @pytest.mark.parametrize(
@@ -589,3 +595,61 @@ def test_generic_ray_hits_near_boundary_and_tangent(dom):
         hits = P + t[:, None] * V / np.hypot(V[:, 0], V[:, 1])[:, None]
         assert np.all(np.isfinite(t)) and np.all(t > 0.0)
         assert np.max(np.abs(dom.gauge(hits))) <= 1e-12
+
+
+def _starts_at_outer_sides(dom, rng, n):
+    """Starts on, or one or two ulps inside, the sides of the domain's outer
+    polygon (the square about a p-ball), near the side midpoints, where the
+    two boundaries come closest."""
+    if isinstance(dom, PBall):
+        outer = Polygon(dom.center + dom.radius * _UNIT_SQUARE.vertices)
+    else:
+        outer = dom._outer
+    side = rng.integers(0, len(outer.vertices), n)
+    a, b = outer.vertices[side], outer.vertices[(side + 1) % len(outer.vertices)]
+    f = 0.5 + rng.choice([-0.5, 0.5], (n, 1)) * 10.0 ** rng.uniform(-15.0, -1.0, (n, 1))
+    B = a + f * (b - a)
+    ulps = rng.integers(0, 3, (n, 1))
+    for k in (1, 2):
+        B = np.where(ulps >= k, np.nextafter(B, dom.interior_point()), B)
+    return B
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [PBall(4.0, center=(0.25 + 2.0**-53, 0.0), scale=0.75), PBall(20.0, center=(-0.3, 0.7), scale=1.7),
+     PBall(1.5, center=(1e3 / 3.0, -0.1), scale=0.3),
+     SmoothedPolygon(regular_polygon(5, 1.7, (0.3, -0.2), 0.37).vertices, smoothing=1e-3),
+     SmoothedPolygon(regular_polygon(3).vertices, smoothing=0.02)],
+    ids=["pball4-shifted", "pball20-shifted", "pball1.5-far", "smoothed-pentagon1e-3", "smoothed-triangle"],
+)
+def test_generic_ray_hits_from_outer_polygon_sides(dom):
+    """Starts at the outer polygon's sides, cast in small batches that mix
+    them with exterior starts: NaN on exactly the rows with gauge >= 0, and
+    a boundary hit on every other row."""
+    rng = np.random.default_rng(RNG_SEED)
+    c = dom.interior_point()
+    for size in (1, 2, 3, 5, 8, 40):
+        P = _starts_at_outer_sides(dom, rng, 200 * size)
+        P = np.where(rng.uniform(size=(len(P), 1)) < 0.3, c + rng.uniform(5.0, 9.0, P.shape), P)
+        V = rng.normal(size=P.shape)
+        for P_b, V_b in zip(np.split(P, 200), np.split(V, 200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t = dom.ray_hits(P_b, V_b)
+            interior = dom.gauge(P_b) < 0.0
+            assert np.array_equal(np.isnan(t), ~interior)
+            hits = P_b[interior] + t[interior, None] * V_b[interior] / np.hypot(*V_b[interior].T)[:, None]
+            assert np.all(t[interior] >= 0.0)
+            assert np.max(np.abs(dom.gauge(hits)), initial=0.0) <= 1e-12
+
+
+def test_pball_ray_hits_from_start_on_rounded_square_side():
+    # c_x + r rounds to 1, so (1, 0) lies on the world square c +- r, while
+    # its local coordinate (1 - c_x) / r rounds to just below 1: interior
+    dom = PBall(4.0, center=(0.25 + 2.0**-53, 0.0), scale=0.75)
+    P = np.repeat([[1.0, 0.0]], 16, axis=0)
+    assert dom.center[0] + dom.radius == 1.0 and dom.gauge1(P[0]) < 0.0
+    ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    t = dom.ray_hits(P, np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
