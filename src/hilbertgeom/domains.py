@@ -444,8 +444,10 @@ class PBall(ConvexDomain):
         # from the unit square in the local coordinates the gauge computes:
         # |x|^p + |y|^p - 1 lies in [0, 1] on its boundary for every p, and
         # a start with local gauge < 0 has |x|, |y| < 1, which its exact
-        # axis-aligned slacks see the same way
-        return _UNIT_SQUARE.ray_hits((P - self.center) / self.radius, U) * self.radius
+        # axis-aligned slacks see the same way; the clip keeps a start far
+        # enough out to overflow finite, and outside
+        Z = ((P - self.center) / self.radius).clip(-2.0, 2.0)
+        return _UNIT_SQUARE.ray_hits(Z, U) * self.radius
 
     def to_spec(self) -> dict:
         return {

@@ -216,6 +216,8 @@ def _outward_boundary_point(dom, c, u):
     [
         (PBall(1.0), [0.473, 0.736]),  # gauge +0.088, just outside the diamond
         (PBall(4.0, center=(0.2, -0.1), scale=1.3), [1.6, 0.0]),
+        pytest.param(PBall(4.0, center=(0.2, -0.1), scale=0.5), [1e308, 0.0],  # local coordinates overflow
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered in divide")),
         (PowerCap(2.0), [0.5, 0.1]),
         (SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1), [0.9, 0.5]),
         (unit_disk(), [0.8, 0.7]),
@@ -224,7 +226,7 @@ def _outward_boundary_point(dom, c, u):
         (ProjectiveImage(regular_polygon(4), ProjectiveMap([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])),
          [-3.0, 0.0]),
     ],
-    ids=["pball1", "pball4", "power-cap", "smoothed", "pball2", "ellipse", "square", "projective"],
+    ids=["pball1", "pball4", "pball4-far", "power-cap", "smoothed", "pball2", "ellipse", "square", "projective"],
 )
 def test_ray_hits_nan_for_non_interior_starts(dom, exterior):
     rng = np.random.default_rng(RNG_SEED)
