@@ -134,13 +134,10 @@ class ProjectiveMap:
         return ProjectiveMap(self.matrix @ other.matrix)
 
     def apply_many(self, P) -> np.ndarray:
-        Q = as_points(P)
-        H = Q @ self.matrix[:, :2].T  # (n,3) missing translation column
-        H = H + self.matrix[:, 2]
-        w = H[:, 2]
+        x, y, w = _homogeneous(self.matrix, as_points(P))
         if np.any(np.abs(w) < 1e-300):
             raise ValueError("point maps to the line at infinity")
-        return H[:, :2] / w[:, None]
+        return np.stack([x / w, y / w], axis=1)
 
     def apply(self, p) -> np.ndarray:
         return self.apply_many(as_point(p))[0]
@@ -152,6 +149,20 @@ class ProjectiveMap:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ProjectiveMap({self.matrix.tolist()})"
+
+
+def _linear(M: np.ndarray, X: np.ndarray) -> list:
+    """``M[:, :2] @ x`` for every row ``x`` of ``X``, as three ``(n,)`` arrays.
+
+    Elementwise sums rather than a matmul, so that each row rounds the same
+    way whatever the batch shape.
+    """
+    return [M[i, 0] * X[:, 0] + M[i, 1] * X[:, 1] for i in range(3)]
+
+
+def _homogeneous(M: np.ndarray, P: np.ndarray) -> list:
+    """``M @ (x, y, 1)`` for every row of ``P``, as three ``(n,)`` arrays."""
+    return [r + M[i, 2] for i, r in enumerate(_linear(M, P))]
 
 
 @dataclass(frozen=True)
@@ -303,7 +314,13 @@ class ConvexDomain:
         return self._outer.ray_hits(P, U)
 
     def ray_hits_both(self, P, V):
-        """Hit parameters along ``+V`` and ``-V`` (two arrays)."""
+        """Hit parameters along ``+V`` and ``-V`` (two arrays).
+
+        Each equals the matching :meth:`ray_hits` call bit for bit.  The
+        generic cast runs once per direction; the closed-form variants
+        (ellipse, disk, polygon) and projective images solve each chord once
+        for both directions.
+        """
         return self.ray_hits(P, V), self.ray_hits(P, -as_points(V))
 
     def chord(self, p, v) -> Chord:
@@ -369,8 +386,11 @@ class Ellipse(ConvexDomain):
         return np.einsum("ij,ij->i", Z, Z) - 1.0
 
     def gauge_grad(self, P) -> np.ndarray:
-        Z = self._local(as_points(P))
-        return 2.0 * (Z * self._inv_axes) @ self._rot.T
+        Y = 2.0 * (self._local(as_points(P)) * self._inv_axes)
+        # Y @ rot.T, summed elementwise: a matmul with the transposed
+        # rotation rounds a row by its place in the batch
+        R = self._rot
+        return np.stack([Y[:, 0] * R[0, 0] + Y[:, 1] * R[0, 1], Y[:, 0] * R[1, 0] + Y[:, 1] * R[1, 1]], axis=1)
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -384,9 +404,16 @@ class Ellipse(ConvexDomain):
         return max(self.semi_axes)
 
     def ray_hits(self, P, V) -> np.ndarray:
+        return _conic_root(*self._conic(P, V))
+
+    def ray_hits_both(self, P, V):
+        B, C, disc, A = self._conic(P, V)
+        return _conic_root(B, C, disc, A), _conic_root(-B, C, disc, A)
+
+    def _conic(self, P, V):
         P, U = self._unit_rays(P, V)
         W = (U @ self._rot) * self._inv_axes
-        return _unit_conic_hits(self._local(P), W, np.einsum("ij,ij->i", W, W))
+        return _unit_conic_terms(self._local(P), W, np.einsum("ij,ij->i", W, W))
 
     def to_spec(self) -> dict:
         return {
@@ -436,9 +463,18 @@ class PBall(ConvexDomain):
 
     def ray_hits(self, P, V) -> np.ndarray:
         if self.p == 2.0:
-            P, U = self._unit_rays(P, V)
-            return _unit_conic_hits((P - self.center) / self.radius, U, 1.0) * self.radius
+            return _conic_root(*self._conic(P, V)) * self.radius
         return super().ray_hits(P, V)
+
+    def ray_hits_both(self, P, V):
+        if self.p == 2.0:
+            B, C, disc, A = self._conic(P, V)
+            return _conic_root(B, C, disc, A) * self.radius, _conic_root(-B, C, disc, A) * self.radius
+        return super().ray_hits_both(P, V)
+
+    def _conic(self, P, V):
+        P, U = self._unit_rays(P, V)
+        return _unit_conic_terms((P - self.center) / self.radius, U, 1.0)
 
     def _outer_hits(self, P, U):
         # from the unit square in the local coordinates the gauge computes:
@@ -504,13 +540,22 @@ class Polygon(ConvexDomain):
         self._anchor = V.mean(axis=0)
         self.vertices.setflags(write=False)
 
+    def _normal_dots(self, X: np.ndarray) -> np.ndarray:
+        """``n_j . x`` for every edge j and row x, edge-major ``(k, n)``.
+
+        An elementwise sum rather than a matmul, so that each row rounds the
+        same way whatever the batch shape.
+        """
+        N = self._edge_normals
+        return N[:, 0, None] * X[:, 0] + N[:, 1, None] * X[:, 1]
+
     def _slacks(self, P) -> np.ndarray:
         """Edge slacks ``n_j . p - c_j``, edge-major with shape ``(k, n)``.
 
         Every reduction over the k edges then runs along the long point axis,
         which numpy does many times faster than along a short last axis.
         """
-        return self._edge_normals @ as_points(P).T - self._edge_offsets[:, None]
+        return self._normal_dots(as_points(P)) - self._edge_offsets[:, None]
 
     def gauge(self, P) -> np.ndarray:
         return self._slacks(P).max(axis=0)
@@ -551,16 +596,43 @@ class Polygon(ConvexDomain):
 
     def ray_hits(self, P, V) -> np.ndarray:
         P, U = self._unit_rays(P, V)
-        den = self._edge_normals @ U.T
         D = self._slacks(P)
-        # the entries masked out (den <= 1e-300) may divide by zero or overflow
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.where(den > 1e-300, -D / den, np.inf)
-        t = np.where(t >= 0.0, t, np.inf)
-        return np.where(D.max(axis=0) < 0.0, t.min(axis=0), np.nan)
+        return _polygon_exits(D, self._normal_dots(U), D.max(axis=0) < 0.0)
+
+    def ray_hits_both(self, P, V):
+        # along -U every edge's den is exactly -den; the slacks are shared
+        P, U = self._unit_rays(P, V)
+        D = self._slacks(P)
+        den = self._normal_dots(U)
+        inside = D.max(axis=0) < 0.0
+        return _polygon_exits(D, den, inside), _polygon_exits(D, -den, inside)
 
     def to_spec(self) -> dict:
         return {"type": "polygon", "vertices": self.vertices.tolist()}
+
+
+def _polygon_exits(D: np.ndarray, den: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Ray exits from edge slacks ``D`` and edge-direction dots ``den``
+    (both ``(k, n)``): the nearest edge the ray approaches; NaN where a start
+    is not ``inside``."""
+    # the entries masked out (den <= 1e-300) may divide by zero or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(den > 1e-300, -D / den, np.inf)
+    t = np.where(t >= 0.0, t, np.inf)
+    return np.where(inside, t.min(axis=0), np.nan)
+
+
+def _edge_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of an edge-major ``(k, n)`` array over its edges, in edge order.
+
+    ``A.sum(axis=0)`` adds the rows in this order too, except for a single
+    column (n = 1) of eight or more edges, which it sums pairwise: a row's
+    value would then depend on the batch it came in.
+    """
+    out = A[0].copy()
+    for row in A[1:]:
+        out += row
+    return out
 
 
 # the outer polygon of every p-ball, in its local coordinates
@@ -597,12 +669,15 @@ class SmoothedPolygon(ConvexDomain):
     def gauge(self, P) -> np.ndarray:
         A = self._poly._slacks(P) / self.smoothing
         m = A.max(axis=0)
-        return self.smoothing * (m + np.log(np.exp(A - m).sum(axis=0)))
+        return self.smoothing * (m + np.log(_edge_sum(np.exp(A - m))))
 
     def gauge_grad(self, P) -> np.ndarray:
         A = self._poly._slacks(P) / self.smoothing
         W = np.exp(A - A.max(axis=0))
-        return (W / W.sum(axis=0)).T @ self._poly._edge_normals
+        W /= _edge_sum(W)
+        # softmax-weighted edge normals, summed elementwise (see _normal_dots)
+        N = self._poly._edge_normals
+        return np.stack([_edge_sum(W * N[:, 0, None]), _edge_sum(W * N[:, 1, None])], axis=1)
 
     def interior_point(self) -> np.ndarray:
         return self._anchor
@@ -685,6 +760,8 @@ class ProjectiveImage(ConvexDomain):
         wscale = float(np.max(np.abs(M[2])) * inner.scale())
         # the inverse map gives every image point a pulled-back w of this sign
         self._w_sign = 1.0 if anchor_w > 0 else -1.0
+        # the gauge trusts a pull-back only with w this far from 0
+        self._gauge_w_min = 1e-12 * max(1.0, float(np.max(np.abs(self._inv.matrix[2]))))
         if anchor_w < 0:
             w = -w
             anchor_w = -anchor_w
@@ -698,40 +775,38 @@ class ProjectiveImage(ConvexDomain):
         self.boundary_tol = max(inner.boundary_tol, 1e-10)
         self.strictly_convex = inner.strictly_convex
 
-    def _pull(self, P: np.ndarray) -> np.ndarray:
-        M = self._inv.matrix
-        hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ M.T
-        w = hom[:, 2]
-        bad = np.abs(w) < 1e-300
-        w = np.where(bad, 1.0, w)
-        out = hom[:, :2] / w[:, None]
-        out[bad] = 1e6 * (1.0 + self.inner.bounding_radius())
-        return out
+    def _pull(self, P: np.ndarray, w_min: float = 0.0):
+        """Preimages of the rows of ``P`` and a mask of the valid ones.
+
+        A row is valid when its pulled-back w has the anchor's sign and
+        exceeds ``w_min`` in size; any other row lies on, near or beyond the
+        line the map sends to infinity, and its preimage is reported as the
+        inner anchor.
+        """
+        x, y, w = _homogeneous(self._inv.matrix, P)
+        ok = self._w_sign * w > w_min
+        s = np.where(ok, w, 1.0)
+        X = np.stack([x / s, y / s], axis=1)
+        X[~ok] = self.inner.interior_point()
+        return X, ok
 
     def gauge(self, P) -> np.ndarray:
-        P = as_points(P)
-        M = self._inv.matrix
-        hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ M.T
-        w = hom[:, 2]
-        w_ok = self._w_sign * w > 1e-12 * max(1.0, float(np.max(np.abs(M[2]))))
-        safe_w = np.where(w_ok, w, 1.0)
-        X = hom[:, :2] / safe_w[:, None]
-        g = np.where(w_ok, self.inner.gauge(X), 1.0)
-        return g
+        X, ok = self._pull(as_points(P), self._gauge_w_min)
+        return np.where(ok, self.inner.gauge(X), 1.0)
 
     def boundary_points(self, ts) -> np.ndarray:
         return self.map.apply_many(self.inner.boundary_points(ts))
 
     def boundary_normals(self, B) -> np.ndarray:
-        B = as_points(B)
-        X = self._pull(B)
+        X, _ = self._pull(as_points(B))
         N = self.inner.boundary_normals(X)
-        ell = np.concatenate([N, -np.einsum("ij,ij->i", N, X)[:, None]], axis=1)
-        pushed = ell @ self._inv.matrix  # rows: covector times H^{-1}
-        G = pushed[:, :2]
-        G = G / np.hypot(G[:, 0], G[:, 1])[:, None]
+        # covector (N, -N.X) times H^{-1}, summed elementwise (see _linear)
+        M = self._inv.matrix
+        c = -np.einsum("ij,ij->i", N, X)
+        u, v, w = (N[:, 0] * M[0, j] + N[:, 1] * M[1, j] + c * M[2, j] for j in range(3))
+        G = np.stack([u, v], axis=1) / np.hypot(u, v)[:, None]
         # orient outward: positive side away from the anchor
-        s = np.sign(pushed[:, 0] * self._anchor[0] + pushed[:, 1] * self._anchor[1] + pushed[:, 2])
+        s = np.sign(u * self._anchor[0] + v * self._anchor[1] + w)
         return G * np.where(s > 0, -1.0, 1.0)[:, None]
 
     def interior_point(self) -> np.ndarray:
@@ -745,19 +820,15 @@ class ProjectiveImage(ConvexDomain):
 
     def ray_hits_both(self, P, V):
         P, U = self._unit_rays(P, V)
-        Minv = self._inv.matrix
-        hom = np.concatenate([P, np.ones((len(P), 1))], axis=1) @ Minv.T
         # a pulled-back w of the wrong sign puts the start beyond the line
         # sent to infinity: cast that row from the inner anchor, report NaN
-        ok = self._w_sign * hom[:, 2] > 0.0
-        A = hom[:, :2] / np.where(ok, hom[:, 2], 1.0)[:, None]
-        A[~ok] = self.inner.interior_point()
-        W = U @ Minv[:, :2].T  # direction as point at infinity, (n,3)
-        D = W[:, :2] - W[:, 2][:, None] * A
+        A, ok = self._pull(P)
+        # the direction as a point at infinity, pulled back
+        wx, wy, ww = _linear(self._inv.matrix, U)
+        D = np.stack([wx - ww * A[:, 0], wy - ww * A[:, 1]], axis=1)
         dn = np.hypot(D[:, 0], D[:, 1])
         D = D / dn[:, None]
-        s_plus = self.inner.ray_hits(A, D)
-        s_minus = self.inner.ray_hits(A, -D)
+        s_plus, s_minus = self.inner.ray_hits_both(A, D)
         # the inner cast gives NaN for a start outside the inner domain
         ok &= ~np.isnan(s_plus)
         E1 = self.map.apply_many(A + np.where(ok, s_plus, 0.0)[:, None] * D)
@@ -776,19 +847,25 @@ class ProjectiveImage(ConvexDomain):
         }
 
 
-def _unit_conic_hits(Z: np.ndarray, W: np.ndarray, A) -> np.ndarray:
-    """Positive roots ``t`` of ``|Z + t W|^2 = 1``, with ``A = |W|^2``.
+def _unit_conic_terms(Z: np.ndarray, W: np.ndarray, A):
+    """Terms ``(B, C, disc, A)`` of ``A t^2 + 2 B t + C = 0``, which is
+    ``|Z + t W|^2 = 1`` with ``A = |W|^2``.
 
     ``Z`` are ray starts and ``W`` directions in the frame where the conic is
-    the unit circle.  A start with ``|Z| >= 1`` is not interior: its NaN
-    propagates quietly to ``t``; every other start has a positive
-    discriminant, which needs no clamp.
+    the unit circle.  A start with ``|Z| >= 1`` is not interior: its C is
+    NaN, which propagates quietly to the roots; every other start has a
+    positive discriminant, which needs no clamp.  Along ``-W`` the terms are
+    the same with B negated exactly, so one set serves both directions.
     """
     B = np.einsum("ij,ij->i", Z, W)
     C = np.einsum("ij,ij->i", Z, Z) - 1.0
     C = np.where(C < 0.0, C, np.nan)
     disc = np.sqrt(B * B - A * C)
-    # stable positive root of A t^2 + 2 B t + C = 0 with C < 0
+    return B, C, disc, A
+
+
+def _conic_root(B, C, disc, A) -> np.ndarray:
+    """Stable positive root of ``A t^2 + 2 B t + C = 0`` with ``C < 0``."""
     return np.where(B > 0.0, -C / (B + disc), (disc - B) / A)
 
 

@@ -13,6 +13,10 @@ Region integrals sum the density over an adaptively refined triangulation.
 Refinement order is a deterministic priority queue keyed by (error, cell id),
 so results are reproducible; cells that keep growing at the depth cap flag
 the estimate as diverged, in which case the value is a lower bound only.
+Each region's refinement is a generator that asks for the densities of its
+cell centroids, so many regions can be refined in lock step with one density
+batch per round (the pieces of an ideal triangle are); densities are
+computed row by row, so a region's estimate is the same alone or batched.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ OMEGA_2 = math.pi
 DENSITY_CLIP = 1e30
 _TINY = 1e-300
 _PROBE_COUNT = 8
+# most points per unit-ball batch: each point casts about n_dirs rays, and
+# larger batches only grow the ray arrays without casting faster
+_BALL_ROWS = 1024
 _PROBE_DIRS = np.stack(
     [np.cos(np.arange(_PROBE_COUNT) * 2.0 * np.pi / _PROBE_COUNT),
      np.sin(np.arange(_PROBE_COUNT) * 2.0 * np.pi / _PROBE_COUNT)],
@@ -134,6 +141,10 @@ def unit_ball_areas(
     only the first half-circle of directions is cast (each chord once, both
     hits from ``ray_hits_both``), and each node carries the Simpson weights
     of both psi and psi + pi.
+
+    Points are processed in chunks of at most ``_BALL_ROWS``, which bounds
+    the (points x directions) ray arrays; every point's area is computed on
+    its own row, so chunking does not change it.
     """
     P = as_points(P)
     if n_dirs < 16:
@@ -142,6 +153,11 @@ def unit_ball_areas(
         n_dirs += 1
     if validate and np.any(domain.gauge(P) >= 0.0):
         raise PointNotInterior("point not interior")
+    chunks = range(0, max(len(P), 1), _BALL_ROWS)
+    return np.concatenate([_unit_ball_areas(domain, P[i:i + _BALL_ROWS], n_dirs, warp) for i in chunks])
+
+
+def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: bool) -> np.ndarray:
     m = len(P)
     half = n_dirs // 2
     tau, nin, a, b = ball_frames(domain, P, warp=warp)
@@ -158,7 +174,9 @@ def unit_ball_areas(
     F = 0.5 * speed * (1.0 / np.maximum(tp, _TINY) + 1.0 / np.maximum(tm, _TINY))
     integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, half) ** 2)
     w = _simpson_weights(n_dirs)
-    return 0.5 * integrand @ (w[:half] + w[half:])
+    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
+    # place in the batch
+    return 0.5 * np.einsum("ij,j->i", integrand, w[:half] + w[half:])
 
 
 def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96, warp: bool = True) -> float:
@@ -240,16 +258,66 @@ def region_area(
     ``uniform_depth`` bypasses adaptivity and refines every cell to a fixed
     depth; combined with ``warp=False`` this yields grids that match across
     domains, which the nested-domain comparisons require.
+
+    This drives one region through the same refinement loop that
+    :func:`_region_areas` runs for many regions at once, so a region's
+    estimate does not depend on which other regions share its rounds.
     """
-    if tol <= 0:
+    return _region_areas(domain, [region], tol, max_depth, max_cells, n_dirs, warp, uniform_depth)[0]
+
+
+def _region_areas(
+    domain: ConvexDomain,
+    regions,
+    tol: float,
+    max_depth: int,
+    max_cells: int,
+    n_dirs: int,
+    warp: bool = True,
+    uniform_depth: int = None,
+) -> list:
+    """:func:`region_area` of each region, all refined together.
+
+    Every region keeps its own cells, refinement order, depth cap, cell
+    budget and divergence test; each round makes one :func:`densities` call
+    holding the centroids of every region still refining and splits the
+    densities back.  Densities are computed row by row, so each estimate
+    equals the one ``region_area`` gives for its region alone.
+    """
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    quads = [_region_quadrature(domain, r, tol, max_depth, max_cells, uniform_depth) for r in regions]
+    results = [None] * len(quads)
+    wanted = {}
+    for i, quad in enumerate(quads):
+        try:
+            wanted[i] = next(quad)
+        except StopIteration as stop:
+            results[i] = stop.value
+    while wanted:
+        keys = list(wanted)
+        points = [wanted[i] for i in keys]
+        h = densities(domain, np.concatenate(points), n_dirs=n_dirs, warp=warp, validate=False)
+        cuts = np.cumsum([len(x) for x in points])[:-1]
+        for i, h_i in zip(keys, np.split(h, cuts)):
+            try:
+                wanted[i] = quads[i].send(h_i)
+            except StopIteration as stop:
+                del wanted[i]
+                results[i] = stop.value
+    return results
+
+
+def _region_quadrature(domain, region, tol, max_depth, max_cells, uniform_depth):
+    """Adaptive quadrature of one region as a generator.
+
+    Yields the cell centroids whose densities it needs next, receives those
+    densities, and returns the region's :class:`QuadratureEstimate`.
+    """
     V = as_points(region) if not (isinstance(region, np.ndarray) and region.size == 0) else np.empty((0, 2))
     if len(V) < 3:
         return QuadratureEstimate(0.0, 0.0, 0, False)
     _validate_region(domain, V)
-
-    def h_at(points: np.ndarray) -> np.ndarray:
-        return densities(domain, points, n_dirs=n_dirs, warp=warp, validate=False)
 
     centroid = V.mean(axis=0)
     n0 = len(V)
@@ -260,25 +328,23 @@ def region_area(
     if len(tris) == 0:
         return QuadratureEstimate(0.0, 0.0, 0, False)
 
-    def prepare(T: np.ndarray, iself: np.ndarray = None):
-        """Evaluate cells: own value (if missing) and 4 children values."""
-        if iself is None:
-            iself = _tri_areas(T) * h_at(T.mean(axis=1))
-        kids = _split4(T)
-        flat = kids.reshape(-1, 3, 2)
-        kid_vals = (_tri_areas(flat) * h_at(flat.mean(axis=1))).reshape(-1, 4)
+    def prepare(T: np.ndarray, iself: np.ndarray):
+        """Evaluate cells: the 4 children values against the own value.
+        Children are recomputed by ``_split4`` when a cell is refined."""
+        flat = _split4(T).reshape(-1, 3, 2)
+        kid_vals = (_tri_areas(flat) * (yield flat.mean(axis=1))).reshape(-1, 4)
         ifine = kid_vals.sum(axis=1)
         err = np.abs(ifine - iself)
-        return iself, ifine, err, kid_vals, kids
+        return ifine, err, kid_vals
 
-    iself, ifine, err, kid_vals, kids = prepare(tris)
+    iself = _tri_areas(tris) * (yield tris.mean(axis=1))
+    ifine, err, kid_vals = yield from prepare(tris, iself)
     n = len(tris)
     depth = np.zeros(n, dtype=int)
     ids = np.arange(n)
     cells = {
         "tri": tris, "depth": depth, "id": ids,
-        "iself": iself, "ifine": ifine, "err": err,
-        "kid_vals": kid_vals, "kids": kids,
+        "ifine": ifine, "err": err, "kid_vals": kid_vals,
     }
     next_id = n
     total_prev = None
@@ -307,9 +373,9 @@ def region_area(
                 break
         budget_left -= 4 * len(idx)
 
-        child_tris = cells["kids"][idx].reshape(-1, 3, 2)
+        child_tris = _split4(cells["tri"][idx]).reshape(-1, 3, 2)
         child_iself = cells["kid_vals"][idx].reshape(-1)
-        ciself, cifine, cerr, ckid_vals, ckids = prepare(child_tris, iself=child_iself)
+        cifine, cerr, ckid_vals = yield from prepare(child_tris, child_iself)
         child_depth = np.repeat(cells["depth"][idx] + 1, 4)
         child_ids = next_id + np.arange(len(child_tris))
         next_id += len(child_tris)
@@ -320,11 +386,9 @@ def region_area(
             "tri": np.concatenate([cells["tri"][keep], child_tris]),
             "depth": np.concatenate([cells["depth"][keep], child_depth]),
             "id": np.concatenate([cells["id"][keep], child_ids]),
-            "iself": np.concatenate([cells["iself"][keep], ciself]),
             "ifine": np.concatenate([cells["ifine"][keep], cifine]),
             "err": np.concatenate([cells["err"][keep], cerr]),
             "kid_vals": np.concatenate([cells["kid_vals"][keep], ckid_vals]),
-            "kids": np.concatenate([cells["kids"][keep], ckids]),
         }
         total_prev = total
         total = float(cells["ifine"].sum())
@@ -441,6 +505,8 @@ def ball_area(
     node counts double per refinement level until successive totals agree to
     ``tol`` (relative) or the level cap is reached.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import ConvexDomain, as_point, as_points
 from .errors import DegenerateVertices, InvalidTriangle
-from .measure import QuadratureEstimate, region_area
+from .measure import QuadratureEstimate, _region_areas
 
 LADDER_DEPTH = 12
 _SIDE_SAMPLES = 64
@@ -155,20 +155,12 @@ class CornerLadder:
     error: float
 
 
-def _run_ladder(
-    domain: ConvexDomain,
-    V: np.ndarray,
-    i: int,
-    tol: float,
-    depth: int,
-    piece_kwargs: dict,
-) -> CornerLadder:
-    fractions = 0.5 ** np.arange(1, depth + 1)
+def _ladder(estimates) -> CornerLadder:
+    """Corner ladder from the region estimates of its trapezoids, outermost
+    first; there must be at least three."""
     increments = []
     err = 0.0
-    for k in range(len(fractions) - 1):
-        piece = _ladder_piece(V, i, fractions[k], fractions[k + 1])
-        est = region_area(domain, piece, tol=tol, **piece_kwargs)
+    for est in estimates:
         increments.append(est.value)
         err += est.error_bound
     mu = np.asarray(increments)
@@ -200,17 +192,27 @@ def ideal_triangle_area_detail(
     max_cells: int = 1500,
     n_dirs: int = 24,
 ):
-    """Hexagon estimate plus the three corner ladders of an ideal triangle."""
+    """Hexagon estimate plus the three corner ladders of an ideal triangle.
+
+    Corner ladder i cuts at side fractions 2^-1 ... 2^-ladder_depth toward
+    vertex i, so it has ``ladder_depth - 1`` trapezoids; its tail test needs
+    three of them, so ``ladder_depth`` must be at least 4.  The hexagon and
+    every trapezoid are refined together, one density batch per round
+    (:func:`measure._region_areas`); each piece's estimate equals its own
+    ``region_area`` call.
+    """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
+    if ladder_depth < 4:
+        raise ValueError("ladder_depth must be at least 4")
     V = T.vertices()
-    piece_kwargs = {"max_depth": max_depth, "max_cells": max_cells, "n_dirs": n_dirs}
-    hexagon = corner_decomposition(domain, T, 0.5).hexagon
-    hex_est = region_area(domain, hexagon, tol=tol, **piece_kwargs)
-    ladders = tuple(
-        _run_ladder(domain, V, i, tol, ladder_depth, piece_kwargs) for i in range(3)
-    )
-    return hex_est, ladders
+    fractions = 0.5 ** np.arange(1, ladder_depth + 1)
+    rungs = ladder_depth - 1
+    pieces = [corner_decomposition(domain, T, 0.5).hexagon]
+    pieces += [_ladder_piece(V, i, fractions[k], fractions[k + 1]) for i in range(3) for k in range(rungs)]
+    estimates = _region_areas(domain, pieces, tol, max_depth, max_cells, n_dirs)
+    ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
+    return estimates[0], ladders
 
 
 def ideal_triangle_area(

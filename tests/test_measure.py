@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertgeom.domains import PBall, Polygon, unit_disk
+from hilbertgeom.domains import PBall, Polygon, SmoothedPolygon, regular_polygon, unit_disk
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     QuadratureEstimate,
@@ -123,6 +123,33 @@ def test_region_area_monotone_under_inclusion():
     T = np.array([[0.0, -0.2], [0.3, 0.15], [-0.25, 0.2]])
     kw = dict(warp=False, uniform_depth=2, max_depth=2, n_dirs=32, tol=1.0)
     assert region_area(big, T, **kw).value <= region_area(small, T, **kw).value
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_region_area_rejects_tol_not_positive(tol):
+    T = np.array([[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]])
+    with pytest.raises(ValueError, match="tol"):
+        region_area(unit_disk(), T, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_ball_area_rejects_tol_not_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ball_area(unit_disk(), (0.0, 0.0), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("dom", [unit_disk(), PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1)],
+                         ids=["disk", "pball4", "smoothed"])
+def test_unit_ball_areas_independent_of_chunking(dom):
+    # one call of 3000 points runs in internal chunks; any split of the
+    # points into separate calls gives the same areas bit for bit
+    rng = np.random.default_rng(5)
+    r = 0.6 * np.sqrt(rng.random(3000))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    P = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    whole = unit_ball_areas(dom, P, n_dirs=24)
+    pieces = np.split(P, [1, 1000, 2024, 2999])
+    np.testing.assert_array_equal(whole, np.concatenate([unit_ball_areas(dom, Q, n_dirs=24) for Q in pieces]))
 
 
 def test_quadrature_estimate_roundtrip():

@@ -3,12 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from hilbertgeom.domains import PBall, Polygon, unit_disk
+from hilbertgeom.domains import (
+    Ellipse,
+    PBall,
+    Polygon,
+    PowerCap,
+    ProjectiveImage,
+    ProjectiveMap,
+    SmoothedPolygon,
+    as_points,
+    regular_polygon,
+    unit_disk,
+)
 from hilbertgeom.errors import DegenerateVertices, InvalidTriangle
-from hilbertgeom.measure import region_area
+from hilbertgeom.measure import (
+    QuadratureEstimate,
+    _split4,
+    _tri_areas,
+    _validate_region,
+    densities,
+    region_area,
+)
 from hilbertgeom.triangles import (
+    CornerLadder,
     SupAreaResult,
     TriangleSamplerConfig,
+    _ladder_piece,
+    _sample_triples,
     corner_decomposition,
     ideal_triangle_area,
     ideal_triangle_area_detail,
@@ -132,10 +153,145 @@ def test_sup_area_search_disk():
 
 
 def test_sup_area_result_max_value_includes_divergent():
-    from hilbertgeom.measure import QuadratureEstimate
-
     conv = QuadratureEstimate(value=2.0, error_bound=0.1, depth=3, diverged=False)
     div = QuadratureEstimate(value=9.0, error_bound=1.0, depth=3, diverged=True)
     res = SupAreaResult(best_triangle=None, best_estimate=conv, divergent=((None, div),), samples_used=4)
     assert res.any_diverged
     assert res.max_value == 9.0
+
+
+def test_ladder_depth_below_four_raises():
+    # the ladder's tail test compares its last three trapezoids
+    disk, tri = _symmetric_disk_triangle()
+    for depth in (3, 1, 0):
+        with pytest.raises(ValueError, match="ladder_depth"):
+            ideal_triangle_area(disk, tri, ladder_depth=depth)
+    assert ideal_triangle_area(disk, tri, ladder_depth=4).value > 0.0
+
+
+# The sequential quadrature that the lock-step refinement of all 34 pieces
+# replaced, kept as the reference: one region_area call per piece, each with
+# its own density batches, and a ladder loop over them.
+
+
+def _reference_region_area(domain, region, tol, max_depth, max_cells, n_dirs):
+    V = as_points(region)
+    _validate_region(domain, V)
+
+    def h_at(points):
+        return densities(domain, points, n_dirs=n_dirs, validate=False)
+
+    centroid = V.mean(axis=0)
+    tris = np.stack([np.repeat(centroid[None, :], len(V), axis=0), V, np.roll(V, -1, axis=0)], axis=1)
+    tris = tris[_tri_areas(tris) > 1e-16 * (1.0 + domain.scale()) ** 2]
+
+    def prepare(T, iself=None):
+        if iself is None:
+            iself = _tri_areas(T) * h_at(T.mean(axis=1))
+        kids = _split4(T)
+        flat = kids.reshape(-1, 3, 2)
+        kid_vals = (_tri_areas(flat) * h_at(flat.mean(axis=1))).reshape(-1, 4)
+        ifine = kid_vals.sum(axis=1)
+        return ifine, np.abs(ifine - iself), kid_vals, kids
+
+    ifine, err, kid_vals, kids = prepare(tris)
+    n = len(tris)
+    cells = {"tri": tris, "depth": np.zeros(n, dtype=int), "id": np.arange(n),
+             "ifine": ifine, "err": err, "kid_vals": kid_vals, "kids": kids}
+    next_id = n
+    total_prev = None
+    total = float(ifine.sum())
+    budget_left = max_cells - n
+    budget_exhausted = False
+    while True:
+        settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(total))
+        active = ~settled & ~(cells["depth"] >= max_depth)
+        if not np.any(active) or budget_left <= 0:
+            budget_exhausted = budget_left <= 0 and bool(np.any(active))
+            break
+        idx = np.flatnonzero(active)
+        idx = idx[np.lexsort((cells["id"][idx], -cells["err"][idx]))]
+        if 4 * len(idx) > budget_left:
+            idx = idx[: budget_left // 4]
+            if len(idx) == 0:
+                budget_exhausted = True
+                break
+        budget_left -= 4 * len(idx)
+        child_tris = cells["kids"][idx].reshape(-1, 3, 2)
+        cifine, cerr, ckid_vals, ckids = prepare(child_tris, iself=cells["kid_vals"][idx].reshape(-1))
+        keep = np.ones(len(cells["tri"]), dtype=bool)
+        keep[idx] = False
+        new = {"tri": child_tris, "depth": np.repeat(cells["depth"][idx] + 1, 4),
+               "id": next_id + np.arange(len(child_tris)), "ifine": cifine, "err": cerr,
+               "kid_vals": ckid_vals, "kids": ckids}
+        next_id += len(child_tris)
+        cells = {k: np.concatenate([cells[k][keep], new[k]]) for k in cells}
+        total_prev = total
+        total = float(cells["ifine"].sum())
+
+    value = float(cells["ifine"].sum())
+    settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(value))
+    diverged = False
+    if np.any(~settled) and (np.any(cells["depth"][~settled] >= max_depth) or budget_exhausted):
+        diverged = total_prev is not None and total > total_prev * (1.0 + tol)
+    return QuadratureEstimate(value=value, error_bound=float(cells["err"].sum()),
+                              depth=int(cells["depth"].max()), diverged=diverged)
+
+
+def _reference_run_ladder(domain, V, i, tol, depth, piece_kwargs):
+    fractions = 0.5 ** np.arange(1, depth + 1)
+    increments = []
+    err = 0.0
+    for k in range(len(fractions) - 1):
+        est = _reference_region_area(domain, _ladder_piece(V, i, fractions[k], fractions[k + 1]), tol, **piece_kwargs)
+        increments.append(est.value)
+        err += est.error_bound
+    mu = np.asarray(increments)
+    partial = float(mu.sum())
+    diverged = bool(mu[-1] >= mu[-2] / 1.05 and mu[-2] >= mu[-3] / 1.05)
+    r_hat = mu[-1] / mu[-2] if mu[-2] > 0 else 1.0
+    r_prev = mu[-2] / mu[-3] if mu[-3] > 0 else 1.0
+    if r_hat >= 0.98:
+        diverged = True
+    if diverged:
+        return CornerLadder(partial=partial, tail=0.0, increments=tuple(increments), diverged=True, error=err)
+    tail = float(mu[-1] * r_hat / (1.0 - r_hat))
+    tail_alt = float(mu[-1] * r_prev / (1.0 - r_prev)) if r_prev < 1.0 else 2.0 * tail
+    err += abs(tail - tail_alt) + mu[-1] * r_hat ** 2
+    return CornerLadder(partial=partial, tail=tail, increments=tuple(increments), diverged=False, error=err)
+
+
+def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_cells=1500, n_dirs=24):
+    kw = {"max_depth": max_depth, "max_cells": max_cells, "n_dirs": n_dirs}
+    hex_est = _reference_region_area(domain, corner_decomposition(domain, T, 0.5).hexagon, tol, **kw)
+    V = T.vertices()
+    return hex_est, tuple(_reference_run_ladder(domain, V, i, tol, ladder_depth, kw) for i in range(3))
+
+
+_SQUARE4 = regular_polygon(4)
+_CORNERS = _SQUARE4.vertex_params()[:3]
+
+
+@pytest.mark.parametrize(
+    "dom, ts, diverged",
+    [
+        (unit_disk(), (0.2, 2.3, 4.3), False),
+        (Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3), (0.2, 2.3, 4.3), False),
+        (PBall(1.5), (0.2, 2.3, 4.3), False),
+        (PBall(4.0), (0.3, 2.4, 4.4), False),
+        (PowerCap(2.0), (-2.0, -0.9, 1.5), False),
+        (ProjectiveImage(unit_disk(), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]])),
+         (0.2, 2.3, 4.3), False),
+        (_SQUARE4, _sample_triples(_SQUARE4, TriangleSamplerConfig(budget=1, seed=0))[0], False),
+        (SmoothedPolygon(_SQUARE4.vertices, smoothing=0.1), (0.3, 2.4, 4.4), False),
+        (_SQUARE4, _CORNERS + 1e-6, True),
+        (_SQUARE4, _CORNERS - 1e-6, True),
+    ],
+    ids=["disk", "ellipse", "pball1.5", "pball4", "power-cap", "projective-disk", "stratified-square",
+         "smoothed", "square-corner+", "square-corner-"],
+)
+def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
+    tri = make_ideal_triangle(dom, *ts)
+    hex_est, ladders = ideal_triangle_area_detail(dom, tri)
+    assert (hex_est, ladders) == _reference_area_detail(dom, tri)
+    assert any(lad.diverged for lad in ladders) == diverged
