@@ -134,10 +134,13 @@ class ProjectiveMap:
         return ProjectiveMap(self.matrix @ other.matrix)
 
     def apply_many(self, P) -> np.ndarray:
-        x, y, w = _homogeneous(self.matrix, as_points(P))
+        Q = as_points(P)
+        H = Q @ self.matrix[:, :2].T  # (n,3) missing translation column
+        H = H + self.matrix[:, 2]
+        w = H[:, 2]
         if np.any(np.abs(w) < 1e-300):
             raise ValueError("point maps to the line at infinity")
-        return np.stack([x / w, y / w], axis=1)
+        return H[:, :2] / w[:, None]
 
     def apply(self, p) -> np.ndarray:
         return self.apply_many(as_point(p))[0]
@@ -151,18 +154,13 @@ class ProjectiveMap:
         return f"ProjectiveMap({self.matrix.tolist()})"
 
 
-def _linear(M: np.ndarray, X: np.ndarray) -> list:
-    """``M[:, :2] @ x`` for every row ``x`` of ``X``, as three ``(n,)`` arrays.
+def _dots(N: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``N @ X.T`` for a ``(k, 2)`` ``N`` and ``(n, 2)`` ``X``, shape ``(k, n)``.
 
-    Elementwise sums rather than a matmul, so that each row rounds the same
-    way whatever the batch shape.
+    Elementwise sums rather than a matmul: BLAS rounds a row of a small
+    product by its place in the batch, this rounds it the same way in any.
     """
-    return [M[i, 0] * X[:, 0] + M[i, 1] * X[:, 1] for i in range(3)]
-
-
-def _homogeneous(M: np.ndarray, P: np.ndarray) -> list:
-    """``M @ (x, y, 1)`` for every row of ``P``, as three ``(n,)`` arrays."""
-    return [r + M[i, 2] for i, r in enumerate(_linear(M, P))]
+    return N[:, 0, None] * X[:, 0] + N[:, 1, None] * X[:, 1]
 
 
 @dataclass(frozen=True)
@@ -375,6 +373,11 @@ class Ellipse(ConvexDomain):
         self.rotation = float(rotation)
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         self._rot = np.array([[c, -s], [s, c]])
+        # the gauge, gradient and ray paths multiply by the rotation with a
+        # C-contiguous right operand: OpenBLAS then rounds a row of
+        # (n, 2) @ (2, 2) the same way in a batch as alone, but not with a
+        # transposed view (test_row_results_do_not_depend_on_batch_shape)
+        self._rot_t = self._rot.T.copy()
         self._inv_axes = np.array([1.0 / a, 1.0 / b])
         self.center.setflags(write=False)
 
@@ -386,11 +389,8 @@ class Ellipse(ConvexDomain):
         return np.einsum("ij,ij->i", Z, Z) - 1.0
 
     def gauge_grad(self, P) -> np.ndarray:
-        Y = 2.0 * (self._local(as_points(P)) * self._inv_axes)
-        # Y @ rot.T, summed elementwise: a matmul with the transposed
-        # rotation rounds a row by its place in the batch
-        R = self._rot
-        return np.stack([Y[:, 0] * R[0, 0] + Y[:, 1] * R[0, 1], Y[:, 0] * R[1, 0] + Y[:, 1] * R[1, 1]], axis=1)
+        Z = self._local(as_points(P))
+        return 2.0 * (Z * self._inv_axes) @ self._rot_t
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -540,22 +540,13 @@ class Polygon(ConvexDomain):
         self._anchor = V.mean(axis=0)
         self.vertices.setflags(write=False)
 
-    def _normal_dots(self, X: np.ndarray) -> np.ndarray:
-        """``n_j . x`` for every edge j and row x, edge-major ``(k, n)``.
-
-        An elementwise sum rather than a matmul, so that each row rounds the
-        same way whatever the batch shape.
-        """
-        N = self._edge_normals
-        return N[:, 0, None] * X[:, 0] + N[:, 1, None] * X[:, 1]
-
     def _slacks(self, P) -> np.ndarray:
         """Edge slacks ``n_j . p - c_j``, edge-major with shape ``(k, n)``.
 
         Every reduction over the k edges then runs along the long point axis,
         which numpy does many times faster than along a short last axis.
         """
-        return self._normal_dots(as_points(P)) - self._edge_offsets[:, None]
+        return _dots(self._edge_normals, as_points(P)) - self._edge_offsets[:, None]
 
     def gauge(self, P) -> np.ndarray:
         return self._slacks(P).max(axis=0)
@@ -597,13 +588,13 @@ class Polygon(ConvexDomain):
     def ray_hits(self, P, V) -> np.ndarray:
         P, U = self._unit_rays(P, V)
         D = self._slacks(P)
-        return _polygon_exits(D, self._normal_dots(U), D.max(axis=0) < 0.0)
+        return _polygon_exits(D, _dots(self._edge_normals, U), D.max(axis=0) < 0.0)
 
     def ray_hits_both(self, P, V):
         # along -U every edge's den is exactly -den; the slacks are shared
         P, U = self._unit_rays(P, V)
         D = self._slacks(P)
-        den = self._normal_dots(U)
+        den = _dots(self._edge_normals, U)
         inside = D.max(axis=0) < 0.0
         return _polygon_exits(D, den, inside), _polygon_exits(D, -den, inside)
 
@@ -675,9 +666,8 @@ class SmoothedPolygon(ConvexDomain):
         A = self._poly._slacks(P) / self.smoothing
         W = np.exp(A - A.max(axis=0))
         W /= _edge_sum(W)
-        # softmax-weighted edge normals, summed elementwise (see _normal_dots)
-        N = self._poly._edge_normals
-        return np.stack([_edge_sum(W * N[:, 0, None]), _edge_sum(W * N[:, 1, None])], axis=1)
+        # softmax-weighted edge normals, summed in edge order (no matmul)
+        return _edge_sum(W[:, None, :] * self._poly._edge_normals[:, :, None]).T
 
     def interior_point(self) -> np.ndarray:
         return self._anchor
@@ -783,12 +773,20 @@ class ProjectiveImage(ConvexDomain):
         line the map sends to infinity, and its preimage is reported as the
         inner anchor.
         """
-        x, y, w = _homogeneous(self._inv.matrix, P)
+        M = self._inv.matrix
+        x, y, w = _dots(M[:, :2], P) + M[:, 2, None]
         ok = self._w_sign * w > w_min
         s = np.where(ok, w, 1.0)
         X = np.stack([x / s, y / s], axis=1)
         X[~ok] = self.inner.interior_point()
         return X, ok
+
+    def _push(self, X: np.ndarray) -> np.ndarray:
+        """``map.apply_many`` of inner points, summed elementwise (see
+        ``_dots``) so that the ray hits do not depend on the batch shape."""
+        M = self.map.matrix
+        x, y, w = _dots(M[:, :2], X) + M[:, 2, None]
+        return np.stack([x / w, y / w], axis=1)
 
     def gauge(self, P) -> np.ndarray:
         X, ok = self._pull(as_points(P), self._gauge_w_min)
@@ -800,10 +798,9 @@ class ProjectiveImage(ConvexDomain):
     def boundary_normals(self, B) -> np.ndarray:
         X, _ = self._pull(as_points(B))
         N = self.inner.boundary_normals(X)
-        # covector (N, -N.X) times H^{-1}, summed elementwise (see _linear)
+        # covector (N, -N.X) times H^{-1}, summed elementwise (see _dots)
         M = self._inv.matrix
-        c = -np.einsum("ij,ij->i", N, X)
-        u, v, w = (N[:, 0] * M[0, j] + N[:, 1] * M[1, j] + c * M[2, j] for j in range(3))
+        u, v, w = _dots(M[:2].T, N) - M[2, :, None] * np.einsum("ij,ij->i", N, X)
         G = np.stack([u, v], axis=1) / np.hypot(u, v)[:, None]
         # orient outward: positive side away from the anchor
         s = np.sign(u * self._anchor[0] + v * self._anchor[1] + w)
@@ -824,15 +821,15 @@ class ProjectiveImage(ConvexDomain):
         # sent to infinity: cast that row from the inner anchor, report NaN
         A, ok = self._pull(P)
         # the direction as a point at infinity, pulled back
-        wx, wy, ww = _linear(self._inv.matrix, U)
+        wx, wy, ww = _dots(self._inv.matrix[:, :2], U)
         D = np.stack([wx - ww * A[:, 0], wy - ww * A[:, 1]], axis=1)
         dn = np.hypot(D[:, 0], D[:, 1])
         D = D / dn[:, None]
         s_plus, s_minus = self.inner.ray_hits_both(A, D)
         # the inner cast gives NaN for a start outside the inner domain
         ok &= ~np.isnan(s_plus)
-        E1 = self.map.apply_many(A + np.where(ok, s_plus, 0.0)[:, None] * D)
-        E2 = self.map.apply_many(A - np.where(ok, s_minus, 0.0)[:, None] * D)
+        E1 = self._push(A + np.where(ok, s_plus, 0.0)[:, None] * D)
+        E2 = self._push(A - np.where(ok, s_minus, 0.0)[:, None] * D)
         sig1 = np.einsum("ij,ij->i", E1 - P, U)
         sig2 = np.einsum("ij,ij->i", E2 - P, U)
         t_plus = np.where(sig1 > 0.0, sig1, sig2)
