@@ -14,11 +14,13 @@ Conventions:
   radians; polygons take arc-length fraction in ``[0, 1)``
 * rays are cast from strictly interior points; reported ray parameters are
   Euclidean lengths (directions are normalized internally).  A row whose
-  start is not strictly interior (gauge >= 0) gets NaN from every
-  ``ray_hits``/``ray_hits_both`` path; ``chord`` and the validating entry
-  points raise ``PointNotInterior`` instead
-* a zero ray direction raises ``ValueError`` on every ray path
-* gauges are convex; a variant without its own ray cast also gives a
+  start is not strictly interior (gauge >= 0) gets NaN; ``chord`` and the
+  validating entry points raise ``PointNotInterior`` instead
+* a zero ray direction raises ``ValueError``
+* variants implement one ray method, ``ray_hits_both`` (the whole chord:
+  both hits of the line through each start); ``ray_hits`` is its ``+V``
+  half
+* gauges are convex; a variant without its own chord cast also gives a
   gradient (any subgradient at a kink) and ``_outer``, a circumscribed
   polygon on whose boundary the gauge is ``>= 0`` (p-balls cast to one
   shared unit square in their own local coordinates instead)
@@ -70,6 +72,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("zero vector has no direction")
     return v / n
+
+
+def _dots(N: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``N @ X.T`` for a ``(k, 2)`` ``N`` and ``(n, 2)`` ``X``, shape ``(k, n)``.
+
+    Elementwise sums rather than a matmul: BLAS rounds a row of a small
+    product by its place in the batch, this rounds it the same way in any.
+    """
+    return N[:, 0, None] * X[:, 0] + N[:, 1, None] * X[:, 1]
 
 
 @dataclass(frozen=True)
@@ -134,13 +145,11 @@ class ProjectiveMap:
         return ProjectiveMap(self.matrix @ other.matrix)
 
     def apply_many(self, P) -> np.ndarray:
-        Q = as_points(P)
-        H = Q @ self.matrix[:, :2].T  # (n,3) missing translation column
-        H = H + self.matrix[:, 2]
-        w = H[:, 2]
+        M = self.matrix
+        x, y, w = _dots(M[:, :2], as_points(P)) + M[:, 2, None]
         if np.any(np.abs(w) < 1e-300):
             raise ValueError("point maps to the line at infinity")
-        return H[:, :2] / w[:, None]
+        return np.stack([x / w, y / w], axis=1)
 
     def apply(self, p) -> np.ndarray:
         return self.apply_many(as_point(p))[0]
@@ -152,15 +161,6 @@ class ProjectiveMap:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"ProjectiveMap({self.matrix.tolist()})"
-
-
-def _dots(N: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``N @ X.T`` for a ``(k, 2)`` ``N`` and ``(n, 2)`` ``X``, shape ``(k, n)``.
-
-    Elementwise sums rather than a matmul: BLAS rounds a row of a small
-    product by its place in the batch, this rounds it the same way in any.
-    """
-    return N[:, 0, None] * X[:, 0] + N[:, 1, None] * X[:, 1]
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,13 @@ class ConvexDomain:
 
     * :meth:`gauge_grad` plus ``_outer``, a circumscribed :class:`Polygon`
       on whose boundary the gauge is ``>= 0``: the base class then casts
-      rays by Newton on the gauge from the closed-form exit of ``_outer``
-      (:meth:`_outer_hits`) and takes boundary normals as the normalised
-      gradient;
-    * their own :meth:`ray_hits` and :meth:`boundary_normals`.
+      chords by Newton on the gauge from the closed-form exits of
+      ``_outer`` (:meth:`_outer_hits`) and takes boundary normals as the
+      normalised gradient;
+    * their own :meth:`ray_hits_both` and :meth:`boundary_normals`.
+
+    :meth:`ray_hits` is the ``+V`` half of :meth:`ray_hits_both`; no
+    variant overrides it.
 
     :meth:`boundary_points` defaults to the radial parameterisation (the
     boundary hit from the anchor at angle ``t``); variants with a native
@@ -210,8 +213,8 @@ class ConvexDomain:
         The generic ray cast takes its Newton steps with it, which makes its
         roots accurate in relative (not just absolute) terms; that matters
         for points whose boundary gap is far below the domain diameter.
-        Variants with their own ``ray_hits`` and ``boundary_normals`` need
-        not supply it.
+        Variants with their own ``ray_hits_both`` and ``boundary_normals``
+        need not supply it.
         """
         raise NotImplementedError
 
@@ -251,9 +254,6 @@ class ConvexDomain:
         """Membership in the *open* domain."""
         return self.gauge1(p) < 0.0
 
-    def contains_many(self, P) -> np.ndarray:
-        return self.gauge(as_points(P)) < 0.0
-
     def scale(self) -> float:
         return 1.0 + self.bounding_radius()
 
@@ -273,25 +273,39 @@ class ConvexDomain:
         return P, V / norms[:, None]
 
     def ray_hits(self, P, V) -> np.ndarray:
-        """First boundary hit parameter along each ray ``P[i] + t*V[i]``.
+        """First boundary hit parameter along each ray ``P[i] + t*V[i]``: the
+        ``+V`` half of :meth:`ray_hits_both`."""
+        return self.ray_hits_both(P, V)[0]
+
+    def ray_hits_both(self, P, V):
+        """Hit parameters along ``+V`` and ``-V`` (two arrays): the chord of
+        each row.
 
         ``P`` is not validated: a row whose start is not strictly interior
-        (gauge >= 0) gets NaN, every other row its hit.  Directions are
-        normalized, so the returned ``t`` are Euclidean lengths.
+        (gauge >= 0) gets NaN in both, every other row its hits.  Directions
+        are normalized, so the returned ``t`` are Euclidean lengths.  This
+        is the one ray method a variant implements.
 
-        Newton on the gauge starts at the ray's exit from ``_outer``, where
-        the gauge is ``>= 0``.  The gauge is convex along the ray and
-        negative at its start, so every slope met from there is positive and
-        the iterates descend monotonically onto the hit.  Each row stops on
-        its own, once a step no longer moves it down by more than 1e-16
-        relative, and leaves the batch.
+        Here, for the variants with a gradient: Newton on the gauge starts at
+        the ray's exit from ``_outer``, where the gauge is ``>= 0``.  The
+        gauge is convex along the ray and negative at its start, so every
+        slope met from there is positive and the iterates descend
+        monotonically onto the hit.  Each row stops on its own, once a step
+        no longer moves it down by more than 1e-16 relative, and leaves the
+        batch.  The two directions share the input checks, the interior mask
+        and the outer exits, and run the loop one after the other.
         """
         P, U = self._unit_rays(P, V)
-        t = np.full(len(P), np.nan)
         rows = np.flatnonzero(self.gauge(P) < 0.0)
         # exits for the whole batch, so that any polygon slacks the gauge
         # shares round as they did in gauge(P) and no interior row gets NaN
-        t_r = self._outer_hits(P, U)[rows]
+        out_plus, out_minus = self._outer_hits(P, U)
+        return self._newton_hits(P, U, rows, out_plus[rows]), self._newton_hits(P, -U, rows, out_minus[rows])
+
+    def _newton_hits(self, P, U, rows, t_r):
+        """Newton from the outer exits ``t_r`` of the interior ``rows``; NaN
+        on every other row."""
+        t = np.full(len(P), np.nan)
         P_r, U_r = P[rows], U[rows]
         for _ in range(_NEWTON_ITERS):
             X = P_r + t_r[:, None] * U_r
@@ -307,19 +321,10 @@ class ConvexDomain:
         return np.maximum(t, 0.0)
 
     def _outer_hits(self, P, U):
-        """Exits of the unit-direction rays from ``_outer`` (NaN for a start
-        not inside it); a start with gauge < 0 must be inside it."""
-        return self._outer.ray_hits(P, U)
-
-    def ray_hits_both(self, P, V):
-        """Hit parameters along ``+V`` and ``-V`` (two arrays).
-
-        Each equals the matching :meth:`ray_hits` call bit for bit.  The
-        generic cast runs once per direction; the closed-form variants
-        (ellipse, disk, polygon) and projective images solve each chord once
-        for both directions.
-        """
-        return self.ray_hits(P, V), self.ray_hits(P, -as_points(V))
+        """Exits of the unit-direction rays from ``_outer`` along ``+U`` and
+        ``-U`` (NaN for a start not inside it); a start with gauge < 0 must
+        be inside it."""
+        return self._outer.ray_hits_both(P, U)
 
     def chord(self, p, v) -> Chord:
         """Boundary chord through interior point ``p`` along direction ``v``.
@@ -403,17 +408,11 @@ class Ellipse(ConvexDomain):
     def bounding_radius(self) -> float:
         return max(self.semi_axes)
 
-    def ray_hits(self, P, V) -> np.ndarray:
-        return _conic_root(*self._conic(P, V))
-
     def ray_hits_both(self, P, V):
-        B, C, disc, A = self._conic(P, V)
-        return _conic_root(B, C, disc, A), _conic_root(-B, C, disc, A)
-
-    def _conic(self, P, V):
         P, U = self._unit_rays(P, V)
         W = (U @ self._rot) * self._inv_axes
-        return _unit_conic_terms(self._local(P), W, np.einsum("ij,ij->i", W, W))
+        B, C, disc, A = _unit_conic_terms(self._local(P), W, np.einsum("ij,ij->i", W, W))
+        return _conic_root(B, C, disc, A), _conic_root(-B, C, disc, A)
 
     def to_spec(self) -> dict:
         return {
@@ -461,20 +460,12 @@ class PBall(ConvexDomain):
     def bounding_radius(self) -> float:
         return self.radius * 2.0 ** max(0.0, 0.5 - 1.0 / self.p)
 
-    def ray_hits(self, P, V) -> np.ndarray:
-        if self.p == 2.0:
-            return _conic_root(*self._conic(P, V)) * self.radius
-        return super().ray_hits(P, V)
-
     def ray_hits_both(self, P, V):
-        if self.p == 2.0:
-            B, C, disc, A = self._conic(P, V)
-            return _conic_root(B, C, disc, A) * self.radius, _conic_root(-B, C, disc, A) * self.radius
-        return super().ray_hits_both(P, V)
-
-    def _conic(self, P, V):
+        if self.p != 2.0:
+            return super().ray_hits_both(P, V)
         P, U = self._unit_rays(P, V)
-        return _unit_conic_terms((P - self.center) / self.radius, U, 1.0)
+        B, C, disc, A = _unit_conic_terms((P - self.center) / self.radius, U, 1.0)
+        return _conic_root(B, C, disc, A) * self.radius, _conic_root(-B, C, disc, A) * self.radius
 
     def _outer_hits(self, P, U):
         # from the unit square in the local coordinates the gauge computes:
@@ -483,7 +474,8 @@ class PBall(ConvexDomain):
         # axis-aligned slacks see the same way; the clip keeps a start far
         # enough out to overflow finite, and outside
         Z = ((P - self.center) / self.radius).clip(-2.0, 2.0)
-        return _UNIT_SQUARE.ray_hits(Z, U) * self.radius
+        t_plus, t_minus = _UNIT_SQUARE.ray_hits_both(Z, U)
+        return t_plus * self.radius, t_minus * self.radius
 
     def to_spec(self) -> dict:
         return {
@@ -507,8 +499,7 @@ class Polygon(ConvexDomain):
     """Convex polygon domain. Vertices are canonicalized to counterclockwise.
 
     The boundary contains segments, so the domain is never strictly convex as
-    a Hilbert geometry; ``strict_vertex_positions`` records whether any three
-    consecutive vertices are collinear.
+    a Hilbert geometry.
     """
 
     param_period = 1.0
@@ -530,7 +521,6 @@ class Polygon(ConvexDomain):
         sc = float(np.max(np.hypot(E[:, 0], E[:, 1]))) ** 2
         if np.any(cross < -1e-12 * sc):
             raise ValueError("polygon must be convex")
-        self.strict_vertex_positions = bool(np.all(cross > 1e-12 * sc))
         self.vertices = V
         lengths = np.hypot(E[:, 0], E[:, 1])
         normals = np.stack([E[:, 1], -E[:, 0]], axis=1) / lengths[:, None]
@@ -584,11 +574,6 @@ class Polygon(ConvexDomain):
     def bounding_radius(self) -> float:
         d = np.hypot(self.vertices[:, 0] - self._anchor[0], self.vertices[:, 1] - self._anchor[1])
         return float(np.max(d))
-
-    def ray_hits(self, P, V) -> np.ndarray:
-        P, U = self._unit_rays(P, V)
-        D = self._slacks(P)
-        return _polygon_exits(D, _dots(self._edge_normals, U), D.max(axis=0) < 0.0)
 
     def ray_hits_both(self, P, V):
         # along -U every edge's den is exactly -den; the slacks are shared
@@ -781,13 +766,6 @@ class ProjectiveImage(ConvexDomain):
         X[~ok] = self.inner.interior_point()
         return X, ok
 
-    def _push(self, X: np.ndarray) -> np.ndarray:
-        """``map.apply_many`` of inner points, summed elementwise (see
-        ``_dots``) so that the ray hits do not depend on the batch shape."""
-        M = self.map.matrix
-        x, y, w = _dots(M[:, :2], X) + M[:, 2, None]
-        return np.stack([x / w, y / w], axis=1)
-
     def gauge(self, P) -> np.ndarray:
         X, ok = self._pull(as_points(P), self._gauge_w_min)
         return np.where(ok, self.inner.gauge(X), 1.0)
@@ -812,9 +790,6 @@ class ProjectiveImage(ConvexDomain):
     def bounding_radius(self) -> float:
         return self._bounding
 
-    def ray_hits(self, P, V) -> np.ndarray:
-        return self.ray_hits_both(P, V)[0]
-
     def ray_hits_both(self, P, V):
         P, U = self._unit_rays(P, V)
         # a pulled-back w of the wrong sign puts the start beyond the line
@@ -828,8 +803,8 @@ class ProjectiveImage(ConvexDomain):
         s_plus, s_minus = self.inner.ray_hits_both(A, D)
         # the inner cast gives NaN for a start outside the inner domain
         ok &= ~np.isnan(s_plus)
-        E1 = self._push(A + np.where(ok, s_plus, 0.0)[:, None] * D)
-        E2 = self._push(A - np.where(ok, s_minus, 0.0)[:, None] * D)
+        E1 = self.map.apply_many(A + np.where(ok, s_plus, 0.0)[:, None] * D)
+        E2 = self.map.apply_many(A - np.where(ok, s_minus, 0.0)[:, None] * D)
         sig1 = np.einsum("ij,ij->i", E1 - P, U)
         sig2 = np.einsum("ij,ij->i", E2 - P, U)
         t_plus = np.where(sig1 > 0.0, sig1, sig2)

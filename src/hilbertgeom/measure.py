@@ -21,7 +21,6 @@ computed row by row, so a region's estimate is the same alone or batched.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,15 +32,13 @@ from .errors import PointNotInterior, RegionOutsideDomain
 OMEGA_2 = math.pi
 DENSITY_CLIP = 1e30
 _TINY = 1e-300
-_PROBE_COUNT = 8
 # most points per unit-ball batch: each point casts about n_dirs rays, and
 # larger batches only grow the ray arrays without casting faster
 _BALL_ROWS = 1024
-_PROBE_DIRS = np.stack(
-    [np.cos(np.arange(_PROBE_COUNT) * 2.0 * np.pi / _PROBE_COUNT),
-     np.sin(np.arange(_PROBE_COUNT) * 2.0 * np.pi / _PROBE_COUNT)],
-    axis=1,
-)
+# eight probe directions k * pi/4: four chords, the second four directions
+# the exact negations of the first
+_PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
+_PROBE_DIRS = np.concatenate([_PROBE_CHORDS, -_PROBE_CHORDS])
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,6 @@ class QuadratureEstimate:
             "diverged": self.diverged,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
-
     @staticmethod
     def from_jsonable(d: dict) -> "QuadratureEstimate":
         return QuadratureEstimate(
@@ -86,8 +80,8 @@ def ball_frames(domain: ConvexDomain, P, warp: bool = True):
     """Adapted frame per point: tangential axis, inward axis, half-widths.
 
     The inward axis points away from the (approximately) nearest boundary
-    point, found by probing eight directions; half-widths are the unit-ball
-    radii along the two axes.  With ``warp=False`` the frame is the standard
+    point, found by probing eight directions along four chords; half-widths
+    are the unit-ball radii along the two axes.  With ``warp=False`` the frame is the standard
     basis with unit half-widths, which reduces every consumer to plain
     uniform-angle quadrature (used for grid-matched comparisons).
     """
@@ -98,9 +92,10 @@ def ball_frames(domain: ConvexDomain, P, warp: bool = True):
         nin = np.tile(np.array([0.0, 1.0]), (m, 1))
         ones = np.ones(m)
         return tau, nin, ones, ones
-    Pr = np.repeat(P, _PROBE_COUNT, axis=0)
-    Ur = np.tile(_PROBE_DIRS, (m, 1))
-    T = domain.ray_hits(Pr, Ur).reshape(m, _PROBE_COUNT)
+    c = len(_PROBE_CHORDS)
+    tp, tm = domain.ray_hits_both(np.repeat(P, c, axis=0), np.tile(_PROBE_CHORDS, (m, 1)))
+    # columns in the order of _PROBE_DIRS
+    T = np.concatenate([tp.reshape(m, c), tm.reshape(m, c)], axis=1)
     k = np.argmin(T, axis=1)
     t_near = T[np.arange(m), k]
     hits = P + t_near[:, None] * _PROBE_DIRS[k]
@@ -444,6 +439,11 @@ def _frame_chords(domain: ConvexDomain, q: np.ndarray, n: int):
     return U, tp, tm, jac
 
 
+def _check_radius(R: float) -> None:
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
+
+
 def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) -> np.ndarray:
     """Vertices of the inscribed polygon of the metric ball of radius R at q.
 
@@ -454,8 +454,7 @@ def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) 
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(R)
     U, tp, tm, _ = _frame_chords(domain, q, n_dirs)
     t = chord_parameter_at_distance(tp, tm, R)
     return q + t[:, None] * U
@@ -503,25 +502,22 @@ def ball_area(
     Integrates the density over polar shells about q; every shell is located
     by the closed-form inverse of the Hilbert distance along its chord.  Both
     node counts double per refinement level until successive totals agree to
-    ``tol`` (relative) or the level cap is reached.
+    ``tol`` (relative) or the level cap ``max_depth`` (at least 1) is reached.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
-    if R <= 0:
-        raise ValueError("radius must be positive")
-    value_prev = None
-    value = None
-    depth = 0
-    for level in range(max_depth + 1):
+    _check_radius(R)
+    value = _ball_level(domain, q, R, n_dirs, n_radial)
+    for level in range(1, max_depth + 1):
         value_prev = value
         value = _ball_level(domain, q, R, n_dirs * 2 ** level, n_radial * 2 ** level)
-        depth = level
-        if value_prev is not None and abs(value - value_prev) <= tol * abs(value):
+        if abs(value - value_prev) <= tol * abs(value):
             return QuadratureEstimate(value=value, error_bound=abs(value - value_prev),
-                                      depth=depth, diverged=False)
-    growing = value_prev is not None and value > value_prev * (1.0 + tol)
+                                      depth=level, diverged=False)
     return QuadratureEstimate(value=value, error_bound=abs(value - value_prev),
-                              depth=depth, diverged=bool(growing))
+                              depth=max_depth, diverged=bool(value > value_prev * (1.0 + tol)))

@@ -114,13 +114,12 @@ def point_to_segment_distances(
     P,
     A,
     B,
-    n_scan: int = _SCAN_POINTS,
     validate: bool = True,
 ) -> np.ndarray:
     """Row-wise min over segment [A_i, B_i] of the distance from P_i.
 
-    Grid pre-scan (``n_scan`` points, endpoints included) followed by a
-    batched golden-section refinement around the best grid cell.  The scan
+    Grid pre-scan (``_SCAN_POINTS`` points, endpoints included) followed by
+    a batched golden-section refinement around the best grid cell.  The scan
     keeps the search honest on polygonal domains where the profile can have
     flat valleys; golden section then squeezes the winning bracket.  The
     scan runs in blocks of at most 48 * 256 scan rows per distance call, so
@@ -139,18 +138,19 @@ def point_to_segment_distances(
         if np.any(domain.gauge(0.5 * (A + B)) >= 0.0):
             raise SegmentNotInDomain("segment midpoint not interior")
 
-    s = np.linspace(0.0, 1.0, n_scan)
+    m = _SCAN_POINTS
+    s = np.linspace(0.0, 1.0, m)
     k = np.empty(n, dtype=int)
     best = np.empty(n)
-    step = max(1, _SCAN_ROWS // n_scan)
+    step = _SCAN_ROWS // m
     for i in range(0, n, step):
         blk = slice(i, i + step)
         X = (A[blk, None, :] + s[None, :, None] * (B[blk] - A[blk])[:, None, :]).reshape(-1, 2)
-        D = hilbert_distances(domain, np.repeat(P[blk], n_scan, axis=0), X, validate=False).reshape(-1, n_scan)
+        D = hilbert_distances(domain, np.repeat(P[blk], m, axis=0), X, validate=False).reshape(-1, m)
         k[blk] = np.argmin(D, axis=1)
         best[blk] = D.min(axis=1)
     lo = s[np.maximum(k - 1, 0)]
-    hi = s[np.minimum(k + 1, n_scan - 1)]
+    hi = s[np.minimum(k + 1, m - 1)]
 
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)

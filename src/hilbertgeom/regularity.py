@@ -175,17 +175,14 @@ class RegularityReport:
         }
 
 
-def holder_bound_check(f: SampledFunction, a: float = None, H: float = None) -> RegularityReport:
-    """Check f(x) <= 160 (H2 + 1) M(f) |x|^alpha on [-a, a].
+def holder_bound_check(f: SampledFunction, H: float = None) -> RegularityReport:
+    """Check f(x) <= 160 (H2 + 1) M(f) |x|^alpha on the sample's [-a, a].
 
     ``H`` defaults to the measured quasi-symmetric convexity constant (the
     function must then carry derivatives); M(f) = max(f(-a), f(a)).
     """
     v = f.values
-    if a is None:
-        a = f.a
-    if abs(a - f.a) > 1e-12 * f.a:
-        raise ValueError("bound check half-width must match the sample's a")
+    a = f.a
     n = len(v)
     center = (n - 1) // 2
     if abs(v[center]) > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
@@ -274,5 +271,4 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
         return RegularityReport(H=math.inf, H2=math.inf, alpha=1.0,
                                 M=float(max(strip.f[(n - 1) // 4], strip.f[3 * ((n - 1) // 4)])),
                                 bound_margin=-math.inf, non_strictly_convex=True)
-    report = holder_bound_check(f, a=a, H=H)
-    return report
+    return holder_bound_check(f, H=H)

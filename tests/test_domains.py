@@ -326,6 +326,10 @@ def _rowmajor_polygon_ray_hits(self, P, V):
     return t.min(axis=1)
 
 
+def _rowmajor_polygon_ray_hits_both(self, P, V):
+    return _rowmajor_polygon_ray_hits(self, P, V), _rowmajor_polygon_ray_hits(self, P, -as_points(V))
+
+
 def _rowmajor_smoothed_gauge(self, P):
     A = (_rowmajor_dots(as_points(P), self._poly._edge_normals) - self._poly._edge_offsets) / self.smoothing
     m = A.max(axis=1)
@@ -352,7 +356,7 @@ def _rowmajor_smoothed_boundary_normals(self, B):
 def _use_row_major_kernels(monkeypatch):
     monkeypatch.setattr(Polygon, "gauge", _rowmajor_polygon_gauge)
     monkeypatch.setattr(Polygon, "boundary_normals", _rowmajor_polygon_boundary_normals)
-    monkeypatch.setattr(Polygon, "ray_hits", _rowmajor_polygon_ray_hits)
+    monkeypatch.setattr(Polygon, "ray_hits_both", _rowmajor_polygon_ray_hits_both)
     monkeypatch.setattr(SmoothedPolygon, "gauge", _rowmajor_smoothed_gauge)
     monkeypatch.setattr(SmoothedPolygon, "gauge_grad", _rowmajor_smoothed_gauge_grad)
     monkeypatch.setattr(SmoothedPolygon, "boundary_normals", _rowmajor_smoothed_boundary_normals)
@@ -490,6 +494,10 @@ def _reference_generic_ray_hits(self, P, V):
     return np.where(interior, t, np.nan)
 
 
+def _reference_generic_ray_hits_both(self, P, V):
+    return _reference_generic_ray_hits(self, P, V), _reference_generic_ray_hits(self, P, -as_points(V))
+
+
 def _reference_ellipse_ray_hits(self, P, V):
     P = as_points(P)
     V = as_points(V)
@@ -539,7 +547,7 @@ def test_generic_ray_hits_match_bisection_reference(equivalence_domains, monkeyp
     # round-off tolerance rather than bit for bit
     cases = [(name, dom, P, V, _both_hits(dom, P, V)) for name, dom, P, V in
              _ray_cases(equivalence_domains, _GENERIC_PATH)]
-    monkeypatch.setattr(ConvexDomain, "ray_hits", _reference_generic_ray_hits)
+    monkeypatch.setattr(ConvexDomain, "ray_hits_both", _reference_generic_ray_hits_both)
     for name, dom, P, V, new in cases:
         tol = np.append(equivalence_domains[name][2], 0.0)
         for sign, got, ref in zip((1.0, 1.0, -1.0), new, _both_hits(dom, P, V)):

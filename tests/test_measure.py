@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hilbertgeom.domains import PBall, Polygon, SmoothedPolygon, regular_polygon, unit_disk
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
+    _PROBE_DIRS,
     QuadratureEstimate,
+    _harmonic_halfwidth,
     _simpson_weights,
     ball_area,
     ball_boundary_polygon,
@@ -136,6 +138,38 @@ def test_region_area_rejects_tol_not_positive(tol):
 def test_ball_area_rejects_tol_not_positive(tol):
     with pytest.raises(ValueError, match="tol"):
         ball_area(unit_disk(), (0.0, 0.0), 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("R, max_depth", [(0.0, 4), (-1.0, 4), (math.inf, 4), (math.nan, 4), (1.0, 0)])
+def test_ball_area_rejects_bad_radius_or_depth(R, max_depth):
+    with pytest.raises(ValueError, match="radius|max_depth"):
+        ball_area(unit_disk(), (0.0, 0.0), R, max_depth=max_depth)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+def test_ball_boundary_polygon_rejects_bad_radius(R):
+    with pytest.raises(ValueError, match="radius"):
+        ball_boundary_polygon(unit_disk(), (0.0, 0.0), R)
+
+
+def _lone_cast_frames(domain, P):
+    """ball_frames with each of the eight probe directions cast on its own."""
+    T = np.stack([domain.ray_hits(P, np.repeat(d[None], len(P), axis=0)) for d in _PROBE_DIRS], axis=1)
+    k = np.argmin(T, axis=1)
+    nin = -domain.boundary_normals(P + T[np.arange(len(P)), k][:, None] * _PROBE_DIRS[k])
+    tau = np.stack([nin[:, 1], -nin[:, 0]], axis=1)
+    a = _harmonic_halfwidth(*domain.ray_hits_both(P, tau))
+    b = _harmonic_halfwidth(*domain.ray_hits_both(P, nin))
+    return tau, nin, a, b
+
+
+def test_probe_chords_equal_eight_lone_casts(equivalence_domains):
+    # the probes are four chords: the last four directions are the first
+    # four negated exactly, so each chord's -V half is a lone cast
+    assert np.array_equal(_PROBE_DIRS[4:], -_PROBE_DIRS[:4])
+    for name, (dom, P, _) in equivalence_domains.items():
+        for got, ref in zip(ball_frames(dom, P), _lone_cast_frames(dom, P)):
+            assert np.array_equal(got, ref), name
 
 
 @pytest.mark.parametrize("dom", [unit_disk(), PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1)],
