@@ -20,8 +20,9 @@ Conventions:
 * variants implement one ray method, ``ray_hits_both`` (the whole chord:
   both hits of the line through each start); ``ray_hits`` is its ``+V``
   half
-* gauges are convex; a variant without its own chord cast also gives a
-  gradient (any subgradient at a kink) and ``_outer``, a circumscribed
+* gauges are convex; a variant without its own chord cast also gives
+  ``gauge_and_grad`` (the gauge and its gradient, any subgradient at a
+  kink, from one shared computation) and ``_outer``, a circumscribed
   polygon on whose boundary the gauge is ``>= 0`` (p-balls cast to one
   shared unit square in their own local coordinates instead)
 * domains are immutable after construction and safe to share across threads
@@ -183,11 +184,11 @@ class ConvexDomain:
     Subclasses provide :meth:`gauge`, an interior anchor, a bounding radius
     and :meth:`to_spec`, plus one of two boundary kinds:
 
-    * :meth:`gauge_grad` plus ``_outer``, a circumscribed :class:`Polygon`
-      on whose boundary the gauge is ``>= 0``: the base class then casts
-      chords by Newton on the gauge from the closed-form exits of
-      ``_outer`` (:meth:`_outer_hits`) and takes boundary normals as the
-      normalised gradient;
+    * :meth:`gauge_and_grad` plus ``_outer``, a circumscribed
+      :class:`Polygon` on whose boundary the gauge is ``>= 0``: the base
+      class then casts chords by Newton on the gauge from the closed-form
+      exits of ``_outer`` (:meth:`_outer_hits`) and takes boundary normals
+      as the normalised gradient;
     * their own :meth:`ray_hits_both` and :meth:`boundary_normals`.
 
     :meth:`ray_hits` is the ``+V`` half of :meth:`ray_hits_both`; no
@@ -207,8 +208,10 @@ class ConvexDomain:
     def gauge(self, P) -> np.ndarray:
         raise NotImplementedError
 
-    def gauge_grad(self, P) -> np.ndarray:
-        """Gradient (or, at a kink, any subgradient) of the gauge.
+    def gauge_and_grad(self, P):
+        """The gauge (equal to :meth:`gauge` bit for bit) and its gradient
+        (or, at a kink, any subgradient), as an ``(n,)`` and an ``(n, 2)``
+        array computed from shared terms.
 
         The generic ray cast takes its Newton steps with it, which makes its
         roots accurate in relative (not just absolute) terms; that matters
@@ -228,10 +231,10 @@ class ConvexDomain:
     def boundary_normals(self, B) -> np.ndarray:
         """Outward unit normals at (near-)boundary points, one per row.
 
-        The normalised :meth:`gauge_grad`; a zero gradient gives a zero row.
-        Variants without a gradient override this.
+        The normalised gradient that :meth:`gauge_and_grad` gives; a zero
+        gradient gives a zero row.  Variants without a gradient override this.
         """
-        G = self.gauge_grad(B)
+        G = self.gauge_and_grad(B)[1]
         n = np.hypot(G[:, 0], G[:, 1])
         return G / np.where(n == 0.0, 1.0, n)[:, None]
 
@@ -286,8 +289,9 @@ class ConvexDomain:
         are normalized, so the returned ``t`` are Euclidean lengths.  This
         is the one ray method a variant implements.
 
-        Here, for the variants with a gradient: Newton on the gauge starts at
-        the ray's exit from ``_outer``, where the gauge is ``>= 0``.  The
+        Here, for the variants with a gradient: Newton on the gauge, each
+        step's gauge and slope from one :meth:`gauge_and_grad` call, starts
+        at the ray's exit from ``_outer``, where the gauge is ``>= 0``.  The
         gauge is convex along the ray and negative at its start, so every
         slope met from there is positive and the iterates descend
         monotonically onto the hit.  Each row stops on its own, once a step
@@ -300,22 +304,25 @@ class ConvexDomain:
         # exits for the whole batch, so that any polygon slacks the gauge
         # shares round as they did in gauge(P) and no interior row gets NaN
         out_plus, out_minus = self._outer_hits(P, U)
-        return self._newton_hits(P, U, rows, out_plus[rows]), self._newton_hits(P, -U, rows, out_minus[rows])
+        return (self._newton_hits(P, U, rows, out_plus.take(rows)),
+                self._newton_hits(P, -U, rows, out_minus.take(rows)))
 
     def _newton_hits(self, P, U, rows, t_r):
         """Newton from the outer exits ``t_r`` of the interior ``rows``; NaN
         on every other row."""
         t = np.full(len(P), np.nan)
-        P_r, U_r = P[rows], U[rows]
+        P_r, U_r = P.take(rows, axis=0), U.take(rows, axis=0)
         for _ in range(_NEWTON_ITERS):
             X = P_r + t_r[:, None] * U_r
-            slope = np.einsum("ij,ij->i", self.gauge_grad(X), U_r)
-            t_new = t_r - self.gauge(X) / slope
+            g, G = self.gauge_and_grad(X)
+            t_new = t_r - g / (G[:, 0] * U_r[:, 0] + G[:, 1] * U_r[:, 1])
             t[rows] = t_new
-            moving = t_r - t_new > 1e-16 * (1.0 + t_r)
-            if not moving.any():
+            # integer compaction: take is many times faster than a mask
+            keep = np.flatnonzero(t_r - t_new > 1e-16 * (1.0 + t_r))
+            if not len(keep):
                 break
-            rows, t_r, P_r, U_r = rows[moving], t_new[moving], P_r[moving], U_r[moving]
+            rows, t_r = rows.take(keep), t_new.take(keep)
+            P_r, U_r = P_r.take(keep, axis=0), U_r.take(keep, axis=0)
         # the last step of a start within rounding of the boundary can land
         # a hair below 0; NaN rows stay NaN
         return np.maximum(t, 0.0)
@@ -372,10 +379,12 @@ class Ellipse(ConvexDomain):
     def __init__(self, center=(0.0, 0.0), semi_axes=(1.0, 1.0), rotation: float = 0.0):
         self.center = as_point(center)
         a, b = float(semi_axes[0]), float(semi_axes[1])
-        if a <= 0 or b <= 0:
-            raise ValueError("semi-axes must be positive")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError("semi-axes must be positive and finite")
         self.semi_axes = (a, b)
         self.rotation = float(rotation)
+        if not math.isfinite(self.rotation):
+            raise ValueError("rotation must be finite")
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         self._rot = np.array([[c, -s], [s, c]])
         # the gauge, gradient and ray paths multiply by the rotation with a
@@ -393,9 +402,9 @@ class Ellipse(ConvexDomain):
         Z = self._local(as_points(P))
         return np.einsum("ij,ij->i", Z, Z) - 1.0
 
-    def gauge_grad(self, P) -> np.ndarray:
+    def gauge_and_grad(self, P):
         Z = self._local(as_points(P))
-        return 2.0 * (Z * self._inv_axes) @ self._rot_t
+        return np.einsum("ij,ij->i", Z, Z) - 1.0, 2.0 * (Z * self._inv_axes) @ self._rot_t
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -428,10 +437,10 @@ class PBall(ConvexDomain):
 
     def __init__(self, p: float, center=(0.0, 0.0), scale: float = 1.0):
         p = float(p)
-        if p < 1.0:
-            raise ValueError("exponent must be at least 1")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 1.0 <= p < math.inf:
+            raise ValueError("exponent must be finite and at least 1")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         self.p = p
         self.center = as_point(center)
         self.radius = float(scale)
@@ -443,9 +452,17 @@ class PBall(ConvexDomain):
         Z = (as_points(P) - self.center) / self.radius
         return np.abs(Z[:, 0]) ** self.p + np.abs(Z[:, 1]) ** self.p - 1.0
 
-    def gauge_grad(self, P) -> np.ndarray:
+    def gauge_and_grad(self, P):
         Z = (as_points(P) - self.center) / self.radius
-        return (self.p / self.radius) * np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
+        A = np.abs(Z)
+        # both powers: |Z|^p from |Z|^(p-1) * |Z| would round differently
+        g = (A ** self.p).sum(axis=1) - 1.0
+        G = A ** (self.p - 1.0)
+        # in place, which bounds the batch's memory: sign(Z) is exact, so
+        # this rounds as (p / r) * sign(Z) * |Z|^(p-1) does
+        G *= np.sign(Z, out=Z)
+        G *= self.p / self.radius
+        return g, G
 
     def boundary_points(self, ts) -> np.ndarray:
         t = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -632,8 +649,8 @@ class SmoothedPolygon(ConvexDomain):
     """
 
     def __init__(self, vertices, smoothing: float):
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
+        if not 0.0 < smoothing < math.inf:
+            raise ValueError("smoothing must be positive and finite")
         base = Polygon(vertices)
         # log-sum-exp >= max: the gauge is >= 0 on the polygon itself
         self._poly = self._outer = base
@@ -642,17 +659,23 @@ class SmoothedPolygon(ConvexDomain):
         if self.gauge1(self._anchor) >= 0.0:
             raise ValueError("smoothing too large: domain is empty at the polygon centroid")
 
-    def gauge(self, P) -> np.ndarray:
+    def _softmax_terms(self, P):
+        """The gauge and the edge-major ``(k, n)`` exponentials ``E`` with
+        their edge sums ``S``: the softmax weights are ``E / S``."""
         A = self._poly._slacks(P) / self.smoothing
         m = A.max(axis=0)
-        return self.smoothing * (m + np.log(_edge_sum(np.exp(A - m))))
+        E = np.exp(A - m)
+        S = _edge_sum(E)
+        return self.smoothing * (m + np.log(S)), E, S
 
-    def gauge_grad(self, P) -> np.ndarray:
-        A = self._poly._slacks(P) / self.smoothing
-        W = np.exp(A - A.max(axis=0))
-        W /= _edge_sum(W)
+    def gauge(self, P) -> np.ndarray:
+        return self._softmax_terms(P)[0]
+
+    def gauge_and_grad(self, P):
+        g, E, S = self._softmax_terms(P)
+        E /= S
         # softmax-weighted edge normals, summed in edge order (no matmul)
-        return _edge_sum(W[:, None, :] * self._poly._edge_normals[:, :, None]).T
+        return g, _edge_sum(E[:, None, :] * self._poly._edge_normals[:, :, None]).T
 
     def interior_point(self) -> np.ndarray:
         return self._anchor
@@ -683,8 +706,8 @@ class PowerCap(ConvexDomain):
 
     def __init__(self, alpha: float):
         alpha = float(alpha)
-        if alpha <= 1.0:
-            raise ValueError("exponent must exceed 1")
+        if not 1.0 < alpha < math.inf:
+            raise ValueError("exponent must be finite and exceed 1")
         self.alpha = alpha
         self._anchor = np.array([0.0, 0.5])
         self._anchor.setflags(write=False)
@@ -693,12 +716,14 @@ class PowerCap(ConvexDomain):
         Q = as_points(P)
         return np.maximum(np.abs(Q[:, 0]) ** self.alpha - Q[:, 1], Q[:, 1] - 1.0)
 
-    def gauge_grad(self, P) -> np.ndarray:
+    def gauge_and_grad(self, P):
         Q = as_points(P)
-        lower = (np.abs(Q[:, 0]) ** self.alpha - Q[:, 1]) >= (Q[:, 1] - 1.0)
-        gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * np.abs(Q[:, 0]) ** (self.alpha - 1.0), 0.0)
+        ax = np.abs(Q[:, 0])
+        curve, cap = ax ** self.alpha - Q[:, 1], Q[:, 1] - 1.0
+        lower = curve >= cap
+        gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * ax ** (self.alpha - 1.0), 0.0)
         gy = np.where(lower, -1.0, 1.0)
-        return np.stack([gx, gy], axis=1)
+        return np.maximum(curve, cap), np.stack([gx, gy], axis=1)
 
     def interior_point(self) -> np.ndarray:
         return self._anchor

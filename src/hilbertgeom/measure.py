@@ -146,7 +146,7 @@ def unit_ball_areas(
         raise ValueError("need at least 16 directions")
     if n_dirs % 2:
         n_dirs += 1
-    if validate and np.any(domain.gauge(P) >= 0.0):
+    if validate and not np.all(domain.gauge(P) < 0.0):
         raise PointNotInterior("point not interior")
     chunks = range(0, max(len(P), 1), _BALL_ROWS)
     return np.concatenate([_unit_ball_areas(domain, P[i:i + _BALL_ROWS], n_dirs, warp) for i in chunks])

@@ -37,7 +37,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_interior(domain: ConvexDomain, P: np.ndarray, label: str) -> None:
-    if np.any(domain.gauge(P) >= 0.0):
+    # not "any >= 0": a NaN gauge must fail too
+    if not np.all(domain.gauge(P) < 0.0):
         raise PointNotInterior(f"{label} not interior")
 
 
@@ -57,10 +58,10 @@ def hilbert_distances(domain: ConvexDomain, P, Q, validate: bool = True) -> np.n
     V = Q - P
     L = np.hypot(V[:, 0], V[:, 1])
     out = np.zeros(len(P))
-    move = L >= COINCIDENCE_TOL
-    if not np.any(move):
+    move = np.flatnonzero(L >= COINCIDENCE_TOL)
+    if not len(move):
         return out
-    Pm, Vm, Lm = P[move], V[move], L[move]
+    Pm, Vm, Lm = P.take(move, axis=0), V.take(move, axis=0), L.take(move)
     t_plus, t_minus = domain.ray_hits_both(Pm, Vm)
     gap = np.maximum(t_plus - Lm, _TINY)
     t_minus = np.maximum(t_minus, _TINY)
@@ -82,13 +83,13 @@ def finsler_norms(domain: ConvexDomain, P, V, validate: bool = True) -> np.ndarr
         _require_interior(domain, P, "base point")
     speed = np.hypot(V[:, 0], V[:, 1])
     out = np.zeros(len(P))
-    move = speed > 0.0
-    if not np.any(move):
+    move = np.flatnonzero(speed > 0.0)
+    if not len(move):
         return out
-    t_plus, t_minus = domain.ray_hits_both(P[move], V[move])
+    t_plus, t_minus = domain.ray_hits_both(P.take(move, axis=0), V.take(move, axis=0))
     t_plus = np.maximum(t_plus, _TINY)
     t_minus = np.maximum(t_minus, _TINY)
-    out[move] = 0.5 * speed[move] * (1.0 / t_minus + 1.0 / t_plus)
+    out[move] = 0.5 * speed.take(move) * (1.0 / t_minus + 1.0 / t_plus)
     return out
 
 
@@ -135,7 +136,7 @@ def point_to_segment_distances(
         ends = np.concatenate([A, B], axis=0)
         if np.any(domain.gauge(ends) > 1e-7 * sc):
             raise SegmentNotInDomain("segment endpoint outside the closed domain")
-        if np.any(domain.gauge(0.5 * (A + B)) >= 0.0):
+        if not np.all(domain.gauge(0.5 * (A + B)) < 0.0):
             raise SegmentNotInDomain("segment midpoint not interior")
 
     m = _SCAN_POINTS

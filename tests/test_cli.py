@@ -212,3 +212,12 @@ def test_config_accepts_integer_tol(tmp_path, capsys):
     code, out, _ = _run(capsys, ["dist", "--spec", DISK_SPEC, "0", "0", "0.5", "0", "--config", str(cfg)])
     assert code == 0
     assert out.strip() == "0.549306"
+
+
+@pytest.mark.parametrize("spec", ['{"type": "pball", "p": NaN}', '{"type": "pball", "p": Infinity}',
+                                  '{"type": "power-cap", "alpha": NaN}', '{"type": "ellipse", "rotation": NaN}'])
+def test_dist_non_finite_domain_parameter_exits_2(capsys, spec):
+    code, out, err = _run(capsys, ["dist", "--spec", spec, "0", "0", "0.1", "0"])
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err

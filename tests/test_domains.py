@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hilbertgeom.domains import (
     ProjectiveMap,
     SmoothedPolygon,
     _UNIT_SQUARE,
+    _edge_sum,
     as_points,
     domain_from_json,
     domain_from_spec,
@@ -358,7 +360,8 @@ def _use_row_major_kernels(monkeypatch):
     monkeypatch.setattr(Polygon, "boundary_normals", _rowmajor_polygon_boundary_normals)
     monkeypatch.setattr(Polygon, "ray_hits_both", _rowmajor_polygon_ray_hits_both)
     monkeypatch.setattr(SmoothedPolygon, "gauge", _rowmajor_smoothed_gauge)
-    monkeypatch.setattr(SmoothedPolygon, "gauge_grad", _rowmajor_smoothed_gauge_grad)
+    monkeypatch.setattr(SmoothedPolygon, "gauge_and_grad",
+                        lambda self, P: (_rowmajor_smoothed_gauge(self, P), _rowmajor_smoothed_gauge_grad(self, P)))
     monkeypatch.setattr(SmoothedPolygon, "boundary_normals", _rowmajor_smoothed_boundary_normals)
 
 
@@ -371,7 +374,7 @@ def _edge_kernel_outputs(dom, P, U):
     t = dom.ray_hits(P, U)
     out = {"gauge": dom.gauge(P), "ray_hits": t, "boundary_normals": dom.boundary_normals(P + t[:, None] * U)}
     if isinstance(dom, SmoothedPolygon):
-        out["gauge_grad"] = dom.gauge_grad(P)
+        out["gauge_and_grad.gauge"], out["gauge_and_grad.grad"] = dom.gauge_and_grad(P)
     return out
 
 
@@ -406,7 +409,7 @@ def test_ideal_triangle_area_unchanged_by_edge_major_kernels(dom, tol, monkeypat
     assert ideal_triangle_area(dom, tri, tol=tol) == new
 
 
-# The per-class boundary normals that the shared normalised gauge_grad
+# The per-class boundary normals that the shared normalised gradient
 # replaced, kept as references.
 
 
@@ -433,7 +436,7 @@ def _own_power_cap_normals(self, B):
 
 
 def _own_smoothed_normals(self, B):
-    G = self.gauge_grad(B)
+    G = self.gauge_and_grad(B)[1]
     return G / np.hypot(G[:, 0], G[:, 1])[:, None]
 
 
@@ -484,7 +487,7 @@ def _reference_generic_ray_hits(self, P, V):
     for _ in range(10):
         X = P + t[:, None] * U
         g = self.gauge(X)
-        slope = np.einsum("ij,ij->i", self.gauge_grad(X), U)
+        slope = np.einsum("ij,ij->i", self.gauge_and_grad(X)[1], U)
         ok = slope > 0.0
         t_new = np.clip(np.where(ok, t - g / np.where(ok, slope, 1.0), hi), 0.0, hi)
         converged = np.all(np.abs(t_new - t) <= 1e-16 * (1.0 + t))
@@ -709,3 +712,102 @@ def test_pball_ray_hits_from_start_on_rounded_square_side():
     ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     t = dom.ray_hits(P, np.stack([np.cos(ang), np.sin(ang)], axis=1))
     assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+
+
+# The generic chord as it was before the gauge and its gradient came from
+# one call, kept as a reference: separate gauge and gradient evaluations
+# (the gradients inlined per class), an einsum slope and boolean-mask
+# compaction.  The refactor must not move a single bit.
+
+
+def _separate_gauge_grad(self, X):
+    if isinstance(self, PBall):
+        Z = (as_points(X) - self.center) / self.radius
+        return (self.p / self.radius) * np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
+    if isinstance(self, SmoothedPolygon):
+        A = self._poly._slacks(X) / self.smoothing
+        W = np.exp(A - A.max(axis=0))
+        W /= _edge_sum(W)
+        return _edge_sum(W[:, None, :] * self._poly._edge_normals[:, :, None]).T
+    Q = as_points(X)
+    lower = (np.abs(Q[:, 0]) ** self.alpha - Q[:, 1]) >= (Q[:, 1] - 1.0)
+    gx = np.where(lower, self.alpha * np.sign(Q[:, 0]) * np.abs(Q[:, 0]) ** (self.alpha - 1.0), 0.0)
+    return np.stack([gx, np.where(lower, -1.0, 1.0)], axis=1)
+
+
+def _separate_newton_hits(self, P, U, rows, t_r):
+    t = np.full(len(P), np.nan)
+    P_r, U_r = P[rows], U[rows]
+    for _ in range(64):
+        X = P_r + t_r[:, None] * U_r
+        slope = np.einsum("ij,ij->i", _separate_gauge_grad(self, X), U_r)
+        t_new = t_r - self.gauge(X) / slope
+        t[rows] = t_new
+        moving = t_r - t_new > 1e-16 * (1.0 + t_r)
+        if not moving.any():
+            break
+        rows, t_r, P_r, U_r = rows[moving], t_new[moving], P_r[moving], U_r[moving]
+    return np.maximum(t, 0.0)
+
+
+def _separate_ray_hits_both(self, P, V):
+    P, U = self._unit_rays(P, V)
+    rows = np.flatnonzero(self.gauge(P) < 0.0)
+    out_plus, out_minus = self._outer_hits(P, U)
+    return (_separate_newton_hits(self, P, U, rows, out_plus[rows]),
+            _separate_newton_hits(self, P, -U, rows, out_minus[rows]))
+
+
+def test_generic_chord_bit_identical_to_separate_gauge_and_gradient(equivalence_domains, monkeypatch):
+    rng = np.random.default_rng(RNG_SEED)
+    cases = []
+    for name, dom, P, V in _ray_cases(equivalence_domains, _GENERIC_PATH):
+        exterior = len(P) - 1
+        batches = [[0], [exterior]] + [np.append(rng.integers(0, len(P), n - 1), exterior) for n in (7, 130, 5000)]
+        for idx in batches:
+            new = _both_hits(dom, P[idx], V[idx])
+            assert np.isnan(new[0][-1]) == (idx[-1] == exterior), name
+            cases.append((f"{name} n={len(idx)}", dom, P[idx], V[idx], new))
+    monkeypatch.setattr(ConvexDomain, "ray_hits_both", _separate_ray_hits_both)
+    for label, dom, P, V, new in cases:
+        for got, want in zip(new, _both_hits(dom, P, V)):
+            assert np.array_equal(got, want, equal_nan=True), label
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3), PBall(1.0), PBall(1.5), PBall(2.0),
+     PBall(4.0, center=(0.2, -0.1), scale=1.3), PBall(20.0),
+     SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1),
+     SmoothedPolygon(regular_polygon(9).vertices, smoothing=0.05), PowerCap(2.0), PowerCap(8.0)],
+    ids=["ellipse", "pball1", "pball1.5", "pball2", "pball4", "pball20", "smoothed", "smoothed-nonagon",
+         "power-cap2", "power-cap8"],
+)
+def test_gauge_and_grad_gauge_equals_gauge(dom):
+    rng = np.random.default_rng(RNG_SEED)
+    P = dom.interior_point() + rng.uniform(-1.2, 1.2, (300, 2)) * dom.bounding_radius()
+    g, G = dom.gauge_and_grad(P)
+    assert G.shape == (300, 2)
+    assert np.array_equal(g, dom.gauge(P))
+    for i in range(len(P)):
+        g_i, G_i = dom.gauge_and_grad(P[i:i + 1])
+        assert np.array_equal(g_i, dom.gauge(P[i:i + 1]))
+        assert np.array_equal(g_i, g[i:i + 1]) and np.array_equal(G_i, G[i:i + 1])
+
+
+_SQUARE = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda x: PBall(x), lambda x: PBall(4.0, scale=x), lambda x: Ellipse(semi_axes=(x, 1.0)),
+     lambda x: Ellipse(semi_axes=(1.0, x)), lambda x: Ellipse(rotation=x),
+     lambda x: SmoothedPolygon(_SQUARE, smoothing=x), lambda x: PowerCap(x)],
+    ids=["pball-p", "pball-scale", "ellipse-a", "ellipse-b", "ellipse-rotation", "smoothing", "power-cap-alpha"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_parameters(make, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
