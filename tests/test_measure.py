@@ -1,10 +1,12 @@
 import math
+import resource
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbertgeom._malloc import pin_malloc_thresholds
 from hilbertgeom.domains import PBall, Polygon, SmoothedPolygon, regular_polygon, unit_disk
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
@@ -251,3 +253,18 @@ def test_ball_boundary_polygon_on_klein_circle():
     for R in (0.5, 2.0, 6.0):
         V = ball_boundary_polygon(unit_disk(), (0.0, 0.0), R, n_dirs=64)
         assert np.allclose(np.hypot(V[:, 0], V[:, 1]), math.tanh(R), rtol=1e-14, atol=0.0)
+
+
+def test_repeated_unit_ball_areas_reuse_heap_pages():
+    # with glibc's default thresholds the same call faults about 3 700
+    # fresh pages in every time: its 0.25-0.5 MB ray arrays are mapped
+    # and unmapped, or the freed heap top is trimmed
+    if not pin_malloc_thresholds():
+        pytest.skip("malloc thresholds are pinned on glibc only")
+    disk = PBall(2.0)
+    P = 0.9 * (np.random.default_rng(0).random((4096, 2)) - 0.5)
+    for _ in range(2):
+        unit_ball_areas(disk, P, n_dirs=64)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    unit_ball_areas(disk, P, n_dirs=64)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
