@@ -2,8 +2,7 @@
 on what earlier calls freed.
 
 The solvers allocate and free numpy temporaries of 0.1 to a few MB on every
-call (the ray arrays of ``unit_ball_areas`` chunks and of the distance
-scans).  glibc serves a block above its mmap threshold with a fresh mapping
+call (the ray arrays of ``unit_ball_areas`` chunks).  glibc serves a block above its mmap threshold with a fresh mapping
 and returns a free heap top above its trim threshold to the kernel; both
 thresholds start at 128 KiB and rise only when a large mapped block happens
 to be freed.  So whether a call reuses the pages of the last one or faults

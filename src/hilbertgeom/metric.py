@@ -21,6 +21,7 @@ appends samples and the estimates are monotone in the budget.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,7 @@ from .errors import PointNotInterior, SegmentNotInDomain
 
 COINCIDENCE_TOL = 1e-14
 _TINY = 1e-300
-_SCAN_POINTS = 256
-_SCAN_ROWS = 48 * _SCAN_POINTS  # most scan rows per hilbert_distances call
-_GOLDEN_ITERS = 48
+_GOLDEN_ITERS = 58  # final bracket 0.618^58 = 7.6e-13 of the segment
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -47,8 +46,9 @@ def hilbert_distances(domain: ConvexDomain, P, Q, validate: bool = True) -> np.n
 
     With ``validate=False`` the rows are trusted to be interior; near-boundary
     rows then degrade to very large values instead of raising, which is what
-    the segment-distance scans rely on, and a row whose first point is not
-    interior gives NaN (the ray casts' exterior-start contract).
+    the segment-distance search relies on at boundary ends, and a row whose
+    first point is not interior gives NaN (the ray casts' exterior-start
+    contract).
     """
     P = as_points(P)
     Q = as_points(Q)
@@ -119,12 +119,15 @@ def point_to_segment_distances(
 ) -> np.ndarray:
     """Row-wise min over segment [A_i, B_i] of the distance from P_i.
 
-    Grid pre-scan (``_SCAN_POINTS`` points, endpoints included) followed by
-    a batched golden-section refinement around the best grid cell.  The scan
-    keeps the search honest on polygonal domains where the profile can have
-    flat valleys; golden section then squeezes the winning bracket.  The
-    scan runs in blocks of at most 48 * 256 scan rows per distance call, so
-    its memory stays bounded however many rows are passed.
+    Hilbert balls are convex, so the distance from P_i along a segment is
+    quasi-convex: it has one basin and no plateau above its minimum (the flat
+    valleys of polygons are plateaus at the minimum).  Golden section over the
+    whole segment therefore keeps a minimizer in its bracket; every row runs
+    the same ``_GOLDEN_ITERS`` rounds from [0, 1], since all brackets shrink by
+    the same factor.  Golden section only approaches the segment's ends, so
+    the two ends are evaluated exactly and the result is the least of the
+    final pair and the ends.  An end on the boundary (an ideal-triangle side)
+    just gives a large finite value.
     """
     P = as_points(P)
     A = as_points(A)
@@ -139,43 +142,24 @@ def point_to_segment_distances(
         if not np.all(domain.gauge(0.5 * (A + B)) < 0.0):
             raise SegmentNotInDomain("segment midpoint not interior")
 
-    m = _SCAN_POINTS
-    s = np.linspace(0.0, 1.0, m)
-    k = np.empty(n, dtype=int)
-    best = np.empty(n)
-    step = _SCAN_ROWS // m
-    for i in range(0, n, step):
-        blk = slice(i, i + step)
-        X = (A[blk, None, :] + s[None, :, None] * (B[blk] - A[blk])[:, None, :]).reshape(-1, 2)
-        D = hilbert_distances(domain, np.repeat(P[blk], m, axis=0), X, validate=False).reshape(-1, m)
-        k[blk] = np.argmin(D, axis=1)
-        best[blk] = D.min(axis=1)
-    lo = s[np.maximum(k - 1, 0)]
-    hi = s[np.minimum(k + 1, m - 1)]
-
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-
     def _eval(t: np.ndarray) -> np.ndarray:
         X = A + t[:, None] * (B - A)
         return hilbert_distances(domain, P, X, validate=False)
 
-    f1 = _eval(x1)
-    f2 = _eval(x2)
+    lo, hi = np.zeros(n), np.ones(n)
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f1, f2 = _eval(x1), _eval(x2)
     for _ in range(_GOLDEN_ITERS):
-        take_left = f1 < f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-        x1_new = np.where(take_left, hi - _INV_PHI * (hi - lo), x2)
-        x2_new = np.where(take_left, x1, lo + _INV_PHI * (hi - lo))
-        stale1 = take_left
-        x1, x2 = x1_new, x2_new
-        fresh = _eval(np.where(stale1, x1, x2))
-        f1_new = np.where(stale1, fresh, f2)
-        f2_new = np.where(stale1, f1, fresh)
-        f1, f2 = f1_new, f2_new
-    refined = np.minimum(f1, f2)
-    return np.minimum(best, refined)
+        # keep [lo, x2] or [x1, hi]; the kept inner point is reused and the
+        # other one is evaluated afresh
+        left = f1 < f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x1, x2 = np.where(left, hi - _INV_PHI * (hi - lo), x2), np.where(left, x1, lo + _INV_PHI * (hi - lo))
+        fresh = _eval(np.where(left, x1, x2))
+        f1, f2 = np.where(left, fresh, f2), np.where(left, f1, fresh)
+    at_ends = hilbert_distances(domain, np.concatenate([P, P]), np.concatenate([A, B]), validate=False)
+    return np.minimum(np.minimum(f1, f2), at_ends.reshape(2, n).min(axis=0))
 
 
 def point_to_segment_distance(domain: ConvexDomain, p, a, b) -> float:
@@ -241,6 +225,12 @@ def boundary_biased_points(
 # estimators
 
 
+def _require_count(name: str, value) -> None:
+    # bool is an int subclass, and a float count would be truncated silently
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FourPointConfig:
     """Sampling plan for the four-point estimator."""
@@ -249,6 +239,9 @@ class FourPointConfig:
     seed: int = 0
     approach: float = 1e-4
     windows: tuple = None  # optional per-slot boundary parameter windows
+
+    def __post_init__(self):
+        _require_count("budget", self.budget)
 
 
 @dataclass(frozen=True)
@@ -260,6 +253,10 @@ class ThinTriangleConfig:
     seed: int = 0
     approach: float = 1e-4
     windows: tuple = None
+
+    def __post_init__(self):
+        _require_count("budget", self.budget)
+        _require_count("side_points", self.side_points)
 
 
 @dataclass(frozen=True)
@@ -306,8 +303,6 @@ def delta_four_point(domain: ConvexDomain, config: FourPointConfig = FourPointCo
     Degenerate quadruples contribute 0 and the estimate is monotone in the
     budget for a fixed seed.
     """
-    if config.budget < 1:
-        raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(config.seed)
     quads = boundary_biased_points(
         domain, (config.budget, 4), rng, approach=config.approach, windows=config.windows
@@ -427,6 +422,7 @@ def triangle_thinness(
     Returns the value together with a witness record.  Collinear vertices
     give 0 (the sides overlap).
     """
+    _require_count("side_points", side_points)
     values, witnesses = _thinness_many(domain, np.stack([as_point(a), as_point(b), as_point(c)])[None], side_points)
     return float(values[0]), witnesses[0]
 
@@ -437,8 +433,6 @@ def delta_thin(domain: ConvexDomain, config: ThinTriangleConfig = ThinTriangleCo
     All triangles are evaluated in one batch; the first maximal one is the
     witness.
     """
-    if config.budget < 1:
-        raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(config.seed)
     tris = boundary_biased_points(
         domain, (config.budget, 3), rng, approach=config.approach, windows=config.windows

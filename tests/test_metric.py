@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hilbertgeom import metric
 from hilbertgeom.domains import (
+    Ellipse,
     PBall,
     Polygon,
+    PowerCap,
     ProjectiveImage,
     ProjectiveMap,
     SmoothedPolygon,
@@ -169,6 +171,25 @@ def test_square_four_point_grows_past_hyperbolic_range():
     assert est.delta_hat > 3.0
 
 
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("budget", lambda: FourPointConfig(budget=2.5)),
+        ("budget", lambda: FourPointConfig(budget=0)),
+        ("budget", lambda: ThinTriangleConfig(budget=True)),
+        ("budget", lambda: ThinTriangleConfig(budget=-1)),
+        ("side_points", lambda: ThinTriangleConfig(side_points=0)),
+        ("side_points", lambda: ThinTriangleConfig(side_points=-1)),
+        ("side_points", lambda: ThinTriangleConfig(side_points=8.0)),
+        ("side_points", lambda: triangle_thinness(unit_disk(), (-0.5, 0.0), (0.5, 0.0), (0.0, 0.5), side_points=0)),
+        ("side_points", lambda: triangle_thinness(unit_disk(), (-0.5, 0.0), (0.5, 0.0), (0.0, 0.5), side_points=-1)),
+    ],
+)
+def test_estimator_counts_must_be_positive_integers(field, make):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_delta_estimates_serialize():
     est = delta_four_point(unit_disk(), FourPointConfig(budget=50, seed=4))
     blob = est.to_jsonable()
@@ -261,34 +282,86 @@ def _segment_rows(dom, n, seed):
     return 0.5 * (T[:, 0] + T[:, 1]), T[:, 1], T[:, 2]
 
 
-# the closed and generic ray casts are elementwise, so every row gets the same
-# bits however it is batched; the polygon kernels go through matrix
-# products, which round a lone row a few ulps apart
-@pytest.mark.parametrize(
-    "dom, rtol",
-    [
-        (unit_disk(), 0.0),
-        (PBall(4.0), 0.0),
-        (regular_polygon(4), 1e-13),
-    ],
-    ids=["disk", "pball4", "square"],
-)
-def test_segment_distances_blocked_scan_is_row_wise(dom, rtol, monkeypatch):
-    # 130 rows: more than two scan blocks of 48 rows, and not a multiple of 48
+_ROW_WISE_DOMAINS = {
+    "disk": unit_disk(),
+    "pball4": PBall(4.0),
+    "square": regular_polygon(4),
+    "pball1.5": PBall(1.5),
+    "smoothed": SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1),
+    "projective": ProjectiveImage(
+        unit_disk(),
+        ProjectiveMap(np.eye(3) + 0.2 * np.array([[0.1, -0.3, 0.2], [0.4, 0.0, -0.1], [0.2, 0.3, 0.0]])),
+    ),
+    "ellipse": Ellipse(semi_axes=(1.3, 0.8), rotation=0.3),
+    "powercap4": PowerCap(4.0),
+}
+
+
+# every kernel under the ray casts is elementwise, so a row gets the same bits
+# however it is batched
+@pytest.mark.parametrize("name", list(_ROW_WISE_DOMAINS))
+def test_segment_distances_are_row_wise(name):
+    dom = _ROW_WISE_DOMAINS[name]
     P, A, B = _segment_rows(dom, 130, 3)
-    sizes = []
-    inner = metric.hilbert_distances
-
-    def counting(domain, X, Y, validate=True):
-        sizes.append(len(X))
-        return inner(domain, X, Y, validate=validate)
-
-    monkeypatch.setattr(metric, "hilbert_distances", counting)
     batched = point_to_segment_distances(dom, P, A, B, validate=False)
-    assert max(sizes) == metric._SCAN_ROWS
-    assert sizes[:3] == [metric._SCAN_ROWS, metric._SCAN_ROWS, 34 * metric._SCAN_POINTS]
     single = [point_to_segment_distances(dom, P[i:i + 1], A[i:i + 1], B[i:i + 1])[0] for i in range(130)]
-    np.testing.assert_allclose(batched, single, rtol=rtol, atol=0.0)
+    np.testing.assert_array_equal(batched, single)
+
+
+def _klein_distances(P, Q):
+    # sinh^2 d = ((p.w)^2 + (1 - |p|^2)|w|^2) / ((1 - |p|^2)(1 - |q|^2)), w = q - p:
+    # a sum of positive terms, so it keeps its digits near the boundary
+    W = Q - P
+    gp, gq = 1.0 - np.einsum("ij,ij->i", P, P), 1.0 - np.einsum("ij,ij->i", Q, Q)
+    pw = np.einsum("ij,ij->i", P, W)
+    return np.arcsinh(np.sqrt((pw * pw + gp * np.einsum("ij,ij->i", W, W)) / (gp * gq)))
+
+
+def _klein_segment_distances(P, A, B):
+    """Closed-form disk distance from P to [A, B] on the hyperboloid.
+
+    The lifts (x, 1) of A and B span a plane with Euclidean normal c; its
+    Minkowski normal is n = (c0, c1, -c2), and sinh d = |<X_P, n>| for the unit
+    lift X_P and unit n.  <(p, 1), n> = (p, 1).c = (B - A) x (P - A), and
+    <n, n> = |w|^2 (1 - |a|^2) + (a.w)^2 with w = B - A.  When the foot of the
+    perpendicular falls outside [A, B], the nearer end is the minimum.
+    """
+    W = B - A
+    ga = 1.0 - np.einsum("ij,ij->i", A, A)
+    gp = 1.0 - np.einsum("ij,ij->i", P, P)
+    aw = np.einsum("ij,ij->i", A, W)
+    ww = np.einsum("ij,ij->i", W, W)
+    nn = ww * ga + aw * aw
+    area = W[:, 0] * (P[:, 1] - A[:, 1]) - W[:, 1] * (P[:, 0] - A[:, 0])
+    perp = np.arcsinh(np.abs(area) / np.sqrt(gp * nn))
+    c = np.stack([A[:, 1] - B[:, 1], B[:, 0] - A[:, 0], A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]], axis=1)
+    foot = np.concatenate([P, np.ones((len(P), 1))], axis=1) - (area / nn)[:, None] * (c * [1.0, 1.0, -1.0])
+    t = np.einsum("ij,ij->i", foot[:, :2] / foot[:, 2:] - A, W) / ww
+    at_end = (t < 0.0) | (t > 1.0)
+    ends = np.minimum(_klein_distances(P, A), _klein_distances(P, B))
+    return np.where(at_end, ends, perp), at_end
+
+
+def test_segment_distances_match_klein_closed_form():
+    disk = unit_disk()
+    T = boundary_biased_points(disk, (4000, 3), np.random.default_rng(7))
+    P, A, B = T[:, 0], T[:, 1], T[:, 2]
+    exact, at_end = _klein_segment_distances(P, A, B)
+    assert 0.15 < at_end.mean() < 0.35  # the exact ends carry about a quarter of the rows
+    np.testing.assert_allclose(point_to_segment_distances(disk, P, A, B), exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["square", "smoothed", "pball1.5", "pball4", "powercap4"])
+def test_segment_search_finds_the_basin(name):
+    # no grid point of the segment lies below the search's minimum
+    dom = _ROW_WISE_DOMAINS[name]
+    T = boundary_biased_points(dom, (300, 3), np.random.default_rng(11))
+    P, A, B = T[:, 0], T[:, 1], T[:, 2]
+    D = point_to_segment_distances(dom, P, A, B)
+    s = np.linspace(0.0, 1.0, 4097)[:, None]
+    for i in range(len(P)):
+        grid = hilbert_distances(dom, np.repeat(P[i:i + 1], len(s), axis=0), A[i] + s * (B[i] - A[i]))
+        assert D[i] <= (1.0 + 1e-12) * grid.min(), i
 
 
 def test_reevaluate_thin_witness_matches_one_row_calls():
