@@ -10,9 +10,10 @@ whenever the unit ball is an ellipse (so ellipse domains give machine
 accuracy at any direction count) and costs one Jacobian factor otherwise.
 
 Region integrals sum the density over an adaptively refined triangulation.
-Refinement order is a deterministic priority queue keyed by (error, cell id),
-so results are reproducible; cells that keep growing at the depth cap flag
-the estimate as diverged, in which case the value is a lower bound only.
+Each round refines the unsettled cells in order of descending error, ties
+in creation order, so results are reproducible; cells that keep growing at
+the depth cap flag the estimate as diverged, in which case the value is a
+lower bound only.
 Each region's refinement is a generator that asks for the densities of its
 cell centroids, so many regions can be refined in lock step with one density
 batch per round (the pieces of an ideal triangle are); densities are
@@ -35,6 +36,8 @@ _TINY = 1e-300
 # most points per unit-ball batch: each point casts about n_dirs rays, and
 # larger batches only grow the ray arrays without casting faster
 _BALL_ROWS = 1024
+# unit-ball directions per density point of a metric-ball quadrature level
+_BALL_DENSITY_DIRS = 64
 # eight probe directions k * pi/4: four chords, the second four directions
 # the exact negations of the first
 _PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
@@ -188,8 +191,8 @@ def densities(
     """Hilbert measure density pi / Vol(B(p)) per point, clipped at 1e30."""
     areas = unit_ball_areas(domain, P, n_dirs=n_dirs, warp=warp, validate=validate)
     with np.errstate(divide="ignore", over="ignore"):
-        h = OMEGA_2 / np.maximum(areas, 0.0)
-    return np.minimum(h, DENSITY_CLIP)
+        h = np.divide(OMEGA_2, np.maximum(areas, 0.0, out=areas), out=areas)
+    return np.minimum(h, DENSITY_CLIP, out=h)
 
 
 def density(domain: ConvexDomain, p, n_dirs: int = 96) -> float:
@@ -231,6 +234,21 @@ def _validate_region(domain: ConvexDomain, V: np.ndarray) -> None:
             raise ValueError("region polygon must be convex")
 
 
+def _fan(domain: ConvexDomain, region) -> np.ndarray:
+    """Fan triangulation (n, 3, 2) of a checked convex region about its
+    vertex centroid, without degenerate triangles.
+
+    An empty region has no triangles; a region of one or two vertices is
+    checked like any other and has only degenerate ones.
+    """
+    if np.size(region) == 0:
+        return np.empty((0, 3, 2))
+    V = as_points(region)
+    _validate_region(domain, V)
+    tris = np.stack([np.repeat(V.mean(axis=0)[None, :], len(V), axis=0), V, np.roll(V, -1, axis=0)], axis=1)
+    return tris[_tri_areas(tris) > 1e-16 * (1.0 + domain.scale()) ** 2]
+
+
 def region_area(
     domain: ConvexDomain,
     region,
@@ -238,39 +256,26 @@ def region_area(
     max_depth: int = 14,
     max_cells: int = 20000,
     n_dirs: int = 64,
-    warp: bool = True,
-    uniform_depth: int = None,
 ) -> QuadratureEstimate:
     """Hilbert measure of a convex polygonal region inside the domain.
 
     Fan-triangulates the region, then refines cells by midpoint subdivision
     until the local Richardson error (coarse cell value against the sum of
-    its four children) drops below ``tol`` times the cell value.  Cells are
-    processed through a deterministic priority queue keyed by descending
-    error then cell id.  At the depth cap, a still-growing total (successive
-    sweep totals ratio above 1 + tol) marks the estimate as diverged.
-
-    ``uniform_depth`` bypasses adaptivity and refines every cell to a fixed
-    depth; combined with ``warp=False`` this yields grids that match across
-    domains, which the nested-domain comparisons require.
+    its four children) drops below ``tol`` times the cell value.  Each round
+    refines the unsettled cells below ``max_depth`` in order of descending
+    error, ties in creation order, as far as ``max_cells`` allows.  If cells
+    remain unsettled when refinement stops and the last round still grew the
+    total by more than a factor 1 + tol, the estimate is marked diverged.
+    An empty region has measure 0.
 
     This drives one region through the same refinement loop that
     :func:`_region_areas` runs for many regions at once, so a region's
     estimate does not depend on which other regions share its rounds.
     """
-    return _region_areas(domain, [region], tol, max_depth, max_cells, n_dirs, warp, uniform_depth)[0]
+    return _region_areas(domain, [region], tol, max_depth, max_cells, n_dirs)[0]
 
 
-def _region_areas(
-    domain: ConvexDomain,
-    regions,
-    tol: float,
-    max_depth: int,
-    max_cells: int,
-    n_dirs: int,
-    warp: bool = True,
-    uniform_depth: int = None,
-) -> list:
+def _region_areas(domain: ConvexDomain, regions, tol: float, max_depth: int, max_cells: int, n_dirs: int) -> list:
     """:func:`region_area` of each region, all refined together.
 
     Every region keeps its own cells, refinement order, depth cap, cell
@@ -281,7 +286,7 @@ def _region_areas(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    quads = [_region_quadrature(domain, r, tol, max_depth, max_cells, uniform_depth) for r in regions]
+    quads = [_region_quadrature(domain, r, tol, max_depth, max_cells) for r in regions]
     results = [None] * len(quads)
     wanted = {}
     for i, quad in enumerate(quads):
@@ -292,7 +297,7 @@ def _region_areas(
     while wanted:
         keys = list(wanted)
         points = [wanted[i] for i in keys]
-        h = densities(domain, np.concatenate(points), n_dirs=n_dirs, warp=warp, validate=False)
+        h = densities(domain, np.concatenate(points), n_dirs=n_dirs, validate=False)
         cuts = np.cumsum([len(x) for x in points])[:-1]
         for i, h_i in zip(keys, np.split(h, cuts)):
             try:
@@ -303,102 +308,65 @@ def _region_areas(
     return results
 
 
-def _region_quadrature(domain, region, tol, max_depth, max_cells, uniform_depth):
+def _kid_values(tri: np.ndarray):
+    """Generator step: the values area * density of each cell's four
+    children, shape (n, 4), from the densities at their centroids."""
+    flat = _split4(tri).reshape(-1, 3, 2)
+    return (_tri_areas(flat) * (yield flat.mean(axis=1))).reshape(-1, 4)
+
+
+def _region_quadrature(domain, region, tol, max_depth, max_cells):
     """Adaptive quadrature of one region as a generator.
 
     Yields the cell centroids whose densities it needs next, receives those
-    densities, and returns the region's :class:`QuadratureEstimate`.
+    densities, and returns the region's :class:`QuadratureEstimate`.  The
+    cells are kept in creation order: refined cells are dropped and their
+    children appended, so a stable sort by error breaks ties by age.
     """
-    V = as_points(region) if not (isinstance(region, np.ndarray) and region.size == 0) else np.empty((0, 2))
-    if len(V) < 3:
+    tri = _fan(domain, region)
+    if len(tri) == 0:
         return QuadratureEstimate(0.0, 0.0, 0, False)
-    _validate_region(domain, V)
-
-    centroid = V.mean(axis=0)
-    n0 = len(V)
-    tris = np.stack(
-        [np.repeat(centroid[None, :], n0, axis=0), V, np.roll(V, -1, axis=0)], axis=1
-    )
-    tris = tris[_tri_areas(tris) > 1e-16 * (1.0 + domain.scale()) ** 2]
-    if len(tris) == 0:
-        return QuadratureEstimate(0.0, 0.0, 0, False)
-
-    def prepare(T: np.ndarray, iself: np.ndarray):
-        """Evaluate cells: the 4 children values against the own value.
-        Children are recomputed by ``_split4`` when a cell is refined."""
-        flat = _split4(T).reshape(-1, 3, 2)
-        kid_vals = (_tri_areas(flat) * (yield flat.mean(axis=1))).reshape(-1, 4)
-        ifine = kid_vals.sum(axis=1)
-        err = np.abs(ifine - iself)
-        return ifine, err, kid_vals
-
-    iself = _tri_areas(tris) * (yield tris.mean(axis=1))
-    ifine, err, kid_vals = yield from prepare(tris, iself)
-    n = len(tris)
-    depth = np.zeros(n, dtype=int)
-    ids = np.arange(n)
-    cells = {
-        "tri": tris, "depth": depth, "id": ids,
-        "ifine": ifine, "err": err, "kid_vals": kid_vals,
-    }
-    next_id = n
-    total_prev = None
-    total = float(ifine.sum())
-    budget_left = max_cells - n
-    cap = max_depth if uniform_depth is None else min(uniform_depth, max_depth)
-    budget_exhausted = False
-
+    own = _tri_areas(tri) * (yield tri.mean(axis=1))
+    kids = yield from _kid_values(tri)
+    depth = np.zeros(len(tri), dtype=int)
+    budget_left = max_cells - len(tri)
+    total_prev = math.inf
     while True:
-        if uniform_depth is None:
-            settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(total))
-        else:
-            settled = np.zeros(len(cells["tri"]), dtype=bool)
-        at_cap = cells["depth"] >= cap
-        active = ~settled & ~at_cap
-        if not np.any(active) or budget_left <= 0:
-            budget_exhausted = budget_left <= 0 and bool(np.any(active))
+        fine = kids.sum(axis=1)
+        err = np.abs(fine - own)
+        total = float(fine.sum())
+        settled = err <= tol * np.maximum(fine, 0.0) + 1e-15 * max(1.0, abs(total))
+        idx = np.flatnonzero(~settled & (depth < max_depth))
+        idx = idx[np.argsort(-err[idx], kind="stable")][: max(budget_left // 4, 0)]
+        if len(idx) == 0:
             break
-        idx = np.flatnonzero(active)
-        order = np.lexsort((cells["id"][idx], -cells["err"][idx]))
-        idx = idx[order]
-        if 4 * len(idx) > budget_left:
-            idx = idx[: budget_left // 4]
-            if len(idx) == 0:
-                budget_exhausted = True
-                break
         budget_left -= 4 * len(idx)
-
-        child_tris = _split4(cells["tri"][idx]).reshape(-1, 3, 2)
-        child_iself = cells["kid_vals"][idx].reshape(-1)
-        cifine, cerr, ckid_vals = yield from prepare(child_tris, child_iself)
-        child_depth = np.repeat(cells["depth"][idx] + 1, 4)
-        child_ids = next_id + np.arange(len(child_tris))
-        next_id += len(child_tris)
-
-        keep = np.ones(len(cells["tri"]), dtype=bool)
+        children = _split4(tri[idx]).reshape(-1, 3, 2)
+        child_kids = yield from _kid_values(children)
+        keep = np.ones(len(tri), dtype=bool)
         keep[idx] = False
-        cells = {
-            "tri": np.concatenate([cells["tri"][keep], child_tris]),
-            "depth": np.concatenate([cells["depth"][keep], child_depth]),
-            "id": np.concatenate([cells["id"][keep], child_ids]),
-            "ifine": np.concatenate([cells["ifine"][keep], cifine]),
-            "err": np.concatenate([cells["err"][keep], cerr]),
-            "kid_vals": np.concatenate([cells["kid_vals"][keep], ckid_vals]),
-        }
+        tri = np.concatenate([tri[keep], children])
+        depth = np.concatenate([depth[keep], np.repeat(depth[idx] + 1, 4)])
+        own = np.concatenate([own[keep], kids[idx].reshape(-1)])
+        kids = np.concatenate([kids[keep], child_kids])
         total_prev = total
-        total = float(cells["ifine"].sum())
+    # refinement stops with unsettled cells only at the depth cap or the cell budget
+    diverged = bool(np.any(~settled)) and total > total_prev * (1.0 + tol)
+    return QuadratureEstimate(value=total, error_bound=float(err.sum()), depth=int(depth.max()), diverged=diverged)
 
-    value = float(cells["ifine"].sum())
-    error_bound = float(cells["err"].sum())
-    max_depth_reached = int(cells["depth"].max())
-    diverged = False
-    if uniform_depth is None:
-        settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(value))
-        unsettled_remain = bool(np.any(~settled))
-        if unsettled_remain and (np.any(cells["depth"][~settled] >= cap) or budget_exhausted):
-            if total_prev is not None and total > total_prev * (1.0 + tol):
-                diverged = True
-    return QuadratureEstimate(value=value, error_bound=error_bound, depth=max_depth_reached, diverged=diverged)
+
+def _grid_area(domain: ConvexDomain, region) -> float:
+    """Hilbert measure of a region on a fixed grid that is the same in every
+    domain: each fan triangle split three times, unwarped densities at 32
+    directions, summed as area times density.  Nested-domain comparisons
+    need grids that match across domains, which adaptive refinement does
+    not give.
+    """
+    tri = _fan(domain, region)
+    for _ in range(3):
+        tri = _split4(tri).reshape(-1, 3, 2)
+    h = densities(domain, tri.mean(axis=1), n_dirs=32, warp=False, validate=False)
+    return float(np.sum(_tri_areas(tri) * h))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +428,7 @@ def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) 
     return q + t[:, None] * U
 
 
-def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: int,
-                density_dirs: int = 64) -> float:
+def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: int) -> float:
     """One tensor-quadrature level of the ball-area integral.
 
     Polar coordinates about q: angular nodes from the adapted frame with
@@ -481,8 +448,7 @@ def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: 
     T = chord_parameter_at_distance(TP, TM, rho[None, :])
     dtdrho = 2.0 / (1.0 / (TM + T) + 1.0 / np.maximum(TP - T, _TINY))
     X = (q[None, None, :] + T[:, :, None] * U[:, None, :]).reshape(-1, 2)
-    areas = unit_ball_areas(domain, X, n_dirs=density_dirs, warp=True, validate=False)
-    h = OMEGA_2 / np.maximum(areas, _TINY)
+    h = densities(domain, X, n_dirs=_BALL_DENSITY_DIRS, validate=False)
     integrand = (h.reshape(n_psi, n_r)) * T * dtdrho
     w_psi = _simpson_weights(n_psi) * jac
     return float(w_psi @ integrand @ w_r)

@@ -203,21 +203,18 @@ def boundary_biased_points(
     shape = tuple(np.atleast_1d(shape).astype(int))
     U = rng.random(shape + (2,))
     flat = U.reshape(-1, 2)
-    m = len(flat)
     if windows is None:
         params = flat[:, 0] * domain.param_period
     else:
-        slots = np.unravel_index(np.arange(m), shape)[-1]
+        slots = np.unravel_index(np.arange(len(flat)), shape)[-1]
         W = np.asarray(windows, dtype=float).reshape(-1, 2)
         wi = slots % len(W)
         params = W[wi, 0] + flat[:, 0] * (W[wi, 1] - W[wi, 0])
     gap = approach ** flat[:, 1]
     anchor = domain.interior_point()
-    Bd = domain.boundary_points(params)
-    V = Bd - anchor
-    T = domain.ray_hits(np.repeat(anchor[None, :], m, axis=0), V)
-    lens = np.hypot(V[:, 0], V[:, 1])
-    pts = anchor + ((1.0 - gap) * T / lens)[:, None] * V
+    # the domain is convex and the anchor interior, so the ray from the
+    # anchor through a boundary point leaves the domain at that point
+    pts = anchor + (1.0 - gap)[:, None] * (domain.boundary_points(params) - anchor)
     return pts.reshape(shape + (2,))
 
 

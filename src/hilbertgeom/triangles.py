@@ -20,8 +20,14 @@ import numpy as np
 from .domains import ConvexDomain, as_point, as_points
 from .errors import DegenerateVertices, InvalidTriangle
 from .measure import QuadratureEstimate, _region_areas
+from .metric import _require_count
 
 LADDER_DEPTH = 12
+# refinement of each hexagon and ladder piece: depth cap, cell budget and
+# unit-ball directions per density point
+PIECE_MAX_DEPTH = 9
+PIECE_MAX_CELLS = 1500
+PIECE_DIRS = 24
 _SIDE_SAMPLES = 64
 
 
@@ -188,9 +194,6 @@ def ideal_triangle_area_detail(
     T: IdealTriangle,
     tol: float = 1e-3,
     ladder_depth: int = LADDER_DEPTH,
-    max_depth: int = 9,
-    max_cells: int = 1500,
-    n_dirs: int = 24,
 ):
     """Hexagon estimate plus the three corner ladders of an ideal triangle.
 
@@ -199,7 +202,7 @@ def ideal_triangle_area_detail(
     three of them, so ``ladder_depth`` must be at least 4.  The hexagon and
     every trapezoid are refined together, one density batch per round
     (:func:`measure._region_areas`); each piece's estimate equals its own
-    ``region_area`` call.
+    ``region_area`` call with the ``PIECE_*`` settings.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
@@ -210,7 +213,7 @@ def ideal_triangle_area_detail(
     rungs = ladder_depth - 1
     pieces = [corner_decomposition(domain, T, 0.5).hexagon]
     pieces += [_ladder_piece(V, i, fractions[k], fractions[k + 1]) for i in range(3) for k in range(rungs)]
-    estimates = _region_areas(domain, pieces, tol, max_depth, max_cells, n_dirs)
+    estimates = _region_areas(domain, pieces, tol, PIECE_MAX_DEPTH, PIECE_MAX_CELLS, PIECE_DIRS)
     ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
     return estimates[0], ladders
 
@@ -257,6 +260,9 @@ class TriangleSamplerConfig:
     seed: int = 0
     corner_offset: float = 1e-6
     tol: float = 1e-3
+
+    def __post_init__(self):
+        _require_count("budget", self.budget)
 
 
 @dataclass(frozen=True)
@@ -315,8 +321,6 @@ def _sample_triples(domain: ConvexDomain, config: TriangleSamplerConfig) -> list
 
 def sup_area_search(domain: ConvexDomain, config: TriangleSamplerConfig = TriangleSamplerConfig()) -> SupAreaResult:
     """Maximize ideal-triangle area over sampled boundary triples."""
-    if config.budget < 1:
-        raise ValueError("budget must be at least 1")
     best_tri, best_est = None, None
     divergent = []
     used = 0

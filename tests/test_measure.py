@@ -12,6 +12,7 @@ from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     _PROBE_DIRS,
     QuadratureEstimate,
+    _grid_area,
     _harmonic_halfwidth,
     _simpson_weights,
     ball_area,
@@ -125,8 +126,28 @@ def test_region_area_monotone_under_inclusion():
     small = PBall(2.0, scale=0.9)
     big = unit_disk()
     T = np.array([[0.0, -0.2], [0.3, 0.15], [-0.25, 0.2]])
-    kw = dict(warp=False, uniform_depth=2, max_depth=2, n_dirs=32, tol=1.0)
-    assert region_area(big, T, **kw).value <= region_area(small, T, **kw).value
+    assert _grid_area(big, T) <= _grid_area(small, T)
+
+
+def test_grid_area_approximates_the_adaptive_area():
+    # 3 fan triangles split to 4^3 cells each: the midpoint rule of the
+    # unwarped density, close to the adaptive value on a round domain
+    disk = unit_disk()
+    T = np.array([[0.0, -0.2], [0.3, 0.15], [-0.25, 0.2]])
+    assert _grid_area(disk, T) == pytest.approx(region_area(disk, T, tol=1e-6).value, rel=1e-3)
+
+
+@pytest.mark.parametrize("region", [[], np.empty(0), np.empty((0, 2)), [[0.1, 0.2]], [[0.1, 0.2], [0.3, -0.1]]],
+                         ids=["list", "flat", "rows", "one-vertex", "two-vertex"])
+def test_empty_and_degenerate_regions_have_zero_measure(region):
+    assert region_area(unit_disk(), region) == QuadratureEstimate(0.0, 0.0, 0, False)
+    assert _grid_area(unit_disk(), region) == 0.0
+
+
+@pytest.mark.parametrize("region", [[[2.0, 0.0]], [[0.1, 0.2], [3.0, 0.1]]], ids=["one-vertex", "two-vertex"])
+def test_degenerate_regions_outside_the_domain_raise(region):
+    with pytest.raises(RegionOutsideDomain):
+        region_area(unit_disk(), region)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])

@@ -152,6 +152,13 @@ def test_sup_area_search_disk():
     assert res.max_value == pytest.approx(math.pi, rel=5e-3)
 
 
+@pytest.mark.parametrize("budget", [True, 2.5, 0])
+def test_sampler_budget_must_be_a_positive_integer(budget):
+    # checked at construction: a bool or float budget would otherwise reach numpy
+    with pytest.raises(ValueError, match="budget"):
+        TriangleSamplerConfig(budget=budget)
+
+
 def test_sup_area_result_max_value_includes_divergent():
     conv = QuadratureEstimate(value=2.0, error_bound=0.1, depth=3, diverged=False)
     div = QuadratureEstimate(value=9.0, error_bound=1.0, depth=3, diverged=True)
