@@ -4,9 +4,12 @@ A pointed domain is a convex body together with a valid ideal triangle.
 The normal form sends the vertices to (1,0), (0,1), (1,1) and the
 supporting lines at the first two vertices to the coordinate axes.  The
 remaining freedom is a single shape parameter: the image of the third
-supporting line crosses the axes at (1/alpha, 0) and (0, 1/(1-alpha)),
-and relabeling vertices replaces alpha by 1-alpha, so alpha is reported
-in (0, 1/2] after minimizing over labelings.
+supporting line crosses the axes at (1/alpha, 0) and (0, 1/(1-alpha)).
+alpha/(1-alpha) is the Ceva product of the tangency points on the
+triangle of supporting lines, so a cyclic relabeling of the vertices keeps
+alpha and a transposition replaces it by 1-alpha.  alpha is reported in
+(0, 1/2] (up to a 1e-9 tie) by solving the identity labeling and, only if
+that gives alpha > 1/2, its mirror.
 
 Boundary graphs describe the boundary near a tangency point as a convex
 function over the supporting line; a log-log fit of that function yields
@@ -15,8 +18,7 @@ the contact exponent that the regularity bounds consume.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +66,7 @@ class GraphStrip:
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 1 or len(f) < 3:
             raise ValueError("graph needs a one-dimensional sample array")
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("strip half-width must be positive")
         object.__setattr__(self, "f", f)
 
@@ -110,7 +112,7 @@ def boundary_graph(
         raise PreconditionViolated("frame x-axis is not the supporting line")
     if float(R[1] @ normal) > 0.0:
         raise PreconditionViolated("frame y-axis must point into the domain")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("strip half-width must be positive")
 
     B = domain.boundary_samples(_EXIT_WITNESS_SAMPLES)
@@ -288,30 +290,23 @@ def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> dict:
 def normalize_triangle_pointed(domain: ConvexDomain, T: IdealTriangle) -> NormalizationResult:
     """Normal form of (domain, ideal triangle) with minimal shape parameter.
 
-    All six vertex labelings are solved; labelings whose image is unbounded
-    are discarded, and among the rest the smallest alpha wins.  Ties within
-    1e-9 go to the first labeling in lexicographic order (the identity
-    first), which makes normalizing an already-normalized configuration
-    return the identity.
+    alpha/(1-alpha) is the Ceva product of the three tangency points on the
+    triangle of supporting lines.  A cyclic relabeling of the vertices keeps
+    that product and a transposition inverts it, so the six labelings give
+    only alpha and 1-alpha: solving the identity labeling and, when its
+    alpha exceeds 1-alpha by more than 1e-9, the mirror labeling (0, 2, 1)
+    covers them all.  The tie rule keeps the identity for alpha up to
+    1/2 + 1e-9/2, which makes normalizing an already-normalized
+    configuration return the identity.  ``ImproperImage`` and
+    ``SingularConstraints`` from the solve propagate.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
     V = T.vertices()
     lines = [domain.supporting_line(v) for v in V]
-    candidates = []
-    failures = []
-    for perm in itertools.permutations(range(3)):
-        try:
-            candidates.append(_candidate(domain, V, lines, perm))
-        except (ImproperImage, SingularConstraints) as exc:
-            failures.append(exc)
-    if not candidates:
-        for exc in failures:
-            if isinstance(exc, SingularConstraints):
-                raise exc
-        raise ImproperImage("no vertex labeling yields a bounded image")
-    best_alpha = min(c["alpha"] for c in candidates)
-    chosen = next(c for c in candidates if c["alpha"] <= best_alpha + _ALPHA_TIE)
+    chosen = _candidate(domain, V, lines, (0, 1, 2))
+    if chosen["alpha"] > (1.0 - chosen["alpha"]) + _ALPHA_TIE:
+        chosen = _candidate(domain, V, lines, (0, 2, 1))
     H = chosen["H"]
     # fix the overall scale for readability: unit largest entry, positive
     pivot = np.unravel_index(np.argmax(np.abs(H)), H.shape)
@@ -333,15 +328,4 @@ def normalize_many(domain_triangle_pairs) -> list:
     if not results:
         return []
     floor = min(r.alpha for r in results)
-    return [
-        NormalizationResult(
-            matrix=r.matrix,
-            domain=r.domain,
-            alpha=r.alpha,
-            vertex_residual=r.vertex_residual,
-            tangency_residual=r.tangency_residual,
-            permutation=r.permutation,
-            e_report=floor,
-        )
-        for r in results
-    ]
+    return [replace(r, e_report=floor) for r in results]

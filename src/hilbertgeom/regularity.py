@@ -49,8 +49,8 @@ class SampledFunction:
             raise ValueError(f"grid must hold at least {MIN_GRID} samples")
         if (len(v) - 1) % 4 != 0:
             raise ValueError("grid length must be 4k+1 so x = ±a are grid points")
-        if self.a <= 0:
-            raise ValueError("half-width a must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("half-width a must be positive and finite")
         object.__setattr__(self, "values", v)
         if self.derivative is not None:
             d = np.asarray(self.derivative, dtype=float)
@@ -92,16 +92,15 @@ class SampledFunction:
 
 def _pair_sup(num: np.ndarray, den: np.ndarray) -> float:
     """Sup of num/den over one shift, both increment directions, with the
-    degenerate conventions (both tiny -> 1, tiny denominator -> inf)."""
-    best = 1.0
-    for top, bot in ((num, den), (den, num)):
-        blow = (bot < _RATIO_EPS) & (top >= _RATIO_EPS)
-        if np.any(blow):
-            return math.inf
-        ok = bot >= _RATIO_EPS
-        if np.any(ok):
-            best = max(best, float(np.max(top[ok] / bot[ok])))
-    return best
+    degenerate conventions (both tiny -> 1, tiny denominator -> inf).
+
+    Per pair the larger of num/den and den/num is big/small, so one
+    division per pair covers both directions."""
+    big, small = np.maximum(num, den), np.minimum(num, den)
+    ok = small >= _RATIO_EPS
+    if np.any(~ok & (big >= _RATIO_EPS)):
+        return math.inf
+    return float(np.max(big[ok] / small[ok], initial=1.0))
 
 
 def qs_constant(f: SampledFunction) -> float:
@@ -148,6 +147,8 @@ def chain_constants(H: float, a: float) -> tuple:
     """(H2, alpha) of the constant chain for quasi-symmetry constant H."""
     if H < 1.0 or not np.isfinite(H):
         raise ValueError("quasi-symmetry constant must be finite and >= 1")
+    if not 0.0 < a < math.inf:
+        raise ValueError("half-width a must be positive and finite")
     H2 = (4.0 * H * (H + 1.0)) ** ((1.0 + a) / a)
     alpha = 1.0 + math.log1p(1.0 / H2) / math.log(2.0)
     return H2, alpha

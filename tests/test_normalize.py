@@ -1,17 +1,35 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hilbertgeom.domains import Ellipse, PBall, Polygon, ProjectiveMap, unit_disk
+from hilbertgeom import normalize as normalize_module
+from hilbertgeom.cli import main
+from hilbertgeom.domains import (
+    Ellipse,
+    PBall,
+    Polygon,
+    PowerCap,
+    ProjectiveImage,
+    ProjectiveMap,
+    SmoothedPolygon,
+    regular_polygon,
+    unit_disk,
+)
 from hilbertgeom.errors import (
+    ImproperImage,
     InsufficientSignal,
     InvalidTriangle,
     PreconditionViolated,
+    SingularConstraints,
     StripTooWide,
 )
 from hilbertgeom.metric import hilbert_distances
 from hilbertgeom.normalize import (
+    GraphStrip,
+    NormalizationResult,
+    _candidate,
     boundary_graph,
     graph_alpha_fit,
     normalize_many,
@@ -177,3 +195,114 @@ def test_normalization_result_serializes():
     blob = res.to_jsonable()
     assert set(blob) >= {"matrix", "alpha", "vertex_residual", "tangency_residual", "permutation", "e_report"}
     assert len(blob["matrix"]) == 3 and len(blob["matrix"][0]) == 3
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.3, math.nan])
+def test_strip_half_width_must_be_positive(rho):
+    with pytest.raises(ValueError, match="strip half-width"):
+        boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], rho)
+    with pytest.raises(ValueError, match="strip half-width"):
+        GraphStrip(rho=rho, s=0.0, b=0.0, f=np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# two labelings suffice: the six labelings give only alpha and 1 - alpha
+
+_EVEN = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _labeling_domains():
+    disk = PBall(2.0)
+    H = np.eye(3) + 0.2 * np.array([[0.1, -0.3, 0.2], [0.4, 0.0, -0.1], [0.2, 0.3, 0.0]])
+    return {
+        "disk": disk,
+        "ellipse": Ellipse(semi_axes=(1.3, 0.8), rotation=0.3),
+        "projective": ProjectiveImage(disk, ProjectiveMap(H)),
+        "pball1.5": PBall(1.5),
+        "pball4": PBall(4.0),
+        "pball8": PBall(8.0),
+        "smoothed_square": SmoothedPolygon(regular_polygon(4).vertices, smoothing=0.1),
+        "pentagon": regular_polygon(5),
+        "power-cap3": PowerCap(3.0),
+    }
+
+
+def _spread_triangles(domain, rng, count):
+    """Valid ideal triangles with every parameter gap above 0.12 of the period."""
+    out = []
+    while len(out) < count:
+        ts = np.sort(rng.uniform(0.0, 1.0, 3))
+        if min(ts[1] - ts[0], ts[2] - ts[1], 1.0 - ts[2] + ts[0]) > 0.12:
+            T = make_ideal_triangle(domain, *(ts * domain.param_period))
+            if T.validity:
+                out.append(T)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_labeling_domains()))
+def test_six_labelings_give_alpha_and_its_complement(name):
+    dom = _labeling_domains()[name]
+    for T in _spread_triangles(dom, np.random.default_rng(3), 3):
+        V = T.vertices()
+        lines = [dom.supporting_line(v) for v in V]
+        alphas = {perm: _candidate(dom, V, lines, perm)["alpha"] for perm in itertools.permutations(range(3))}
+        a0 = alphas[(0, 1, 2)]
+        for perm, alpha in alphas.items():
+            assert alpha == pytest.approx(a0 if perm in _EVEN else 1.0 - a0, abs=1e-7), perm
+
+
+def _six_labeling_search(domain, T):
+    """Reference: solve all six labelings and keep the first (in
+    lexicographic order) whose alpha is within 1e-9 of the smallest."""
+    V = T.vertices()
+    lines = [domain.supporting_line(v) for v in V]
+    candidates = [_candidate(domain, V, lines, perm) for perm in itertools.permutations(range(3))]
+    best_alpha = min(c["alpha"] for c in candidates)
+    chosen = next(c for c in candidates if c["alpha"] <= best_alpha + 1e-9)
+    H = chosen["H"]
+    H = H / H[np.unravel_index(np.argmax(np.abs(H)), H.shape)]
+    return NormalizationResult(
+        matrix=H,
+        domain=chosen["image"],
+        alpha=chosen["alpha"],
+        vertex_residual=chosen["vertex_res"],
+        tangency_residual=chosen["tangency_res"],
+        permutation=chosen["perm"],
+        e_report=chosen["alpha"],
+    )
+
+
+def test_two_labelings_match_six_labeling_search():
+    rng = np.random.default_rng(5)
+    cases = [(dom, T) for dom in _labeling_domains().values() for T in _spread_triangles(dom, rng, 4)]
+    for p in rng.uniform(1.5, 8.0, 12):
+        dom = PBall(float(p))
+        cases += [(dom, T) for T in _spread_triangles(dom, rng, 3)]
+    for dom, T in cases:
+        got, ref = normalize_triangle_pointed(dom, T), _six_labeling_search(dom, T)
+        if ref.permutation in ((0, 1, 2), (0, 2, 1)):
+            assert np.array_equal(got.matrix, ref.matrix)
+            assert (got.alpha, got.vertex_residual, got.tangency_residual, got.permutation) == (
+                ref.alpha,
+                ref.vertex_residual,
+                ref.tangency_residual,
+                ref.permutation,
+            )
+        else:
+            # rounding noise among near-equal alphas can make the search
+            # settle on another labeling of the same parity
+            assert abs(got.alpha - ref.alpha) <= 1e-8
+            assert (got.permutation in _EVEN) == (ref.permutation in _EVEN)
+
+
+@pytest.mark.parametrize("exc", [ImproperImage, SingularConstraints])
+def test_solve_failure_propagates_and_cli_exits_2(monkeypatch, capsys, exc):
+    def failing(*args):
+        raise exc("forced")
+
+    monkeypatch.setattr(normalize_module, "_candidate", failing)
+    disk, tri = _symmetric_disk_triangle()
+    with pytest.raises(exc):
+        normalize_triangle_pointed(disk, tri)
+    assert main(["normalize", "--spec", '{"type": "pball", "p": 2}', "0", "2.094395", "4.188790"]) == 2
+    assert "forced" in capsys.readouterr().err

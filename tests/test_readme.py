@@ -1,8 +1,12 @@
+import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from hilbertgeom.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +31,32 @@ def test_readme_tour_runs_and_its_comments_hold():
     assert ns["res"].max_value > 10.0 and ns["res"].divergent
     assert math.isclose(ns["norm"].alpha, 0.5, abs_tol=1e-9)
     assert math.isclose(ns["rep"].H, 1.0, rel_tol=0.1) and ns["rep"].alpha > 1.0
+
+
+def _shell_examples():
+    """Each README ``hilbertgeom dist|area|normalize`` example with an inline
+    spec, paired with the comment line documenting its output."""
+    text = README.read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S) for line in block.splitlines()]
+    return {
+        line.split()[1]: (shlex.split(line)[1:], after.removeprefix("# "))
+        for line, after in zip(lines, lines[1:])
+        if re.match(r"hilbertgeom (dist|area|normalize) --spec '", line) and after.startswith("# ")
+    }
+
+
+def test_readme_shell_examples_print_what_they_document(capsys):
+    examples = _shell_examples()
+    assert set(examples) == {"dist", "area", "normalize"}
+    outputs = {}
+    for name, (argv, _) in examples.items():
+        assert main(argv) == 0
+        outputs[name] = capsys.readouterr().out.strip()
+    assert outputs["dist"] == examples["dist"][1] == "0.549306"
+    area = json.loads(outputs["area"])
+    assert examples["area"][1].startswith('{"value": 3.1409')
+    assert math.isclose(area["value"], np.pi, rel_tol=1e-2) and area["diverged"] is False
+    norm = json.loads(outputs["normalize"])
+    assert examples["normalize"][1].startswith('{"alpha": 0.5, "permutation": [0, 1, 2]')
+    assert math.isclose(norm["alpha"], 0.5, abs_tol=1e-9)
+    assert norm["permutation"] == [0, 1, 2]

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertgeom.domains import PBall, Polygon, unit_disk
+from hilbertgeom import regularity
+from hilbertgeom.domains import PBall, Polygon, regular_polygon, unit_disk
 from hilbertgeom.errors import NotConvex, PreconditionViolated
+from hilbertgeom.normalize import boundary_graph
 from hilbertgeom.regularity import (
     SampledFunction,
     boundary_regularity_report,
@@ -183,3 +185,61 @@ def test_convex_even_polynomials_pass_chain(c2, c4):
     assert 1.0 <= H < math.inf
     rep = holder_bound_check(f, H=H)
     assert rep.bound_margin >= -1e-9
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_half_width_must_be_positive_and_finite(a):
+    with pytest.raises(ValueError, match="half-width"):
+        SampledFunction(a=a, values=np.zeros(65))
+    with pytest.raises(ValueError, match="half-width"):
+        chain_constants(2.0, a)
+
+
+def _two_direction_pair_sup(num, den):
+    """Reference: divide each direction separately, as the constants are
+    defined."""
+    best = 1.0
+    for top, bot in ((num, den), (den, num)):
+        if np.any((bot < 1e-14) & (top >= 1e-14)):
+            return math.inf
+        ok = bot >= 1e-14
+        if np.any(ok):
+            best = max(best, float(np.max(top[ok] / bot[ok])))
+    return best
+
+
+def _pair_sup_corpus():
+    rng = np.random.default_rng(8)
+    fns = [
+        _abs15(),
+        _square_fn(),
+        _square_fn(129, a=0.3),
+        SampledFunction.from_callable(math.exp, a=0.5, derivative=math.exp),
+        SampledFunction.from_callable(lambda t: 3.0 * t + 2.0, a=1.0, derivative=lambda t: 3.0),
+        SampledFunction.from_callable(lambda t: max(t - 0.3, 0.0), a=1.0, derivative=lambda t: float(t > 0.3)),
+        SampledFunction.from_callable(abs, a=0.7, n=257, derivative=np.sign),
+    ]
+    for _ in range(4):
+        slopes = np.cumsum(rng.exponential(1.0, 256))
+        values = np.concatenate([[0.0], np.cumsum(slopes)])
+        fns.append(SampledFunction(a=float(rng.uniform(0.1, 2.0)), values=values).with_central_derivative())
+    # boundary graphs: round, quartic, a flat polygon edge, and an edge with a corner
+    for dom, point, rho in (
+        (unit_disk(), [0.0, -1.0], 0.5),
+        (PBall(4.0), [0.0, -1.0], 0.5),
+        (Polygon(SQUARE), [0.5, 0.0], 0.3),
+        (regular_polygon(6), [0.3, -0.75 ** 0.5], 0.3),
+    ):
+        strip = boundary_graph(dom, point, [1.0, 0.0], rho, n=257)
+        fns.append(SampledFunction(a=rho / 2.0, values=strip.f).with_central_derivative())
+    return fns
+
+
+def test_one_ratio_per_pair_matches_two_directions(monkeypatch):
+    corpus = _pair_sup_corpus()
+    got = [(qs_constant(f), qsc_constant(f)) for f in corpus]
+    monkeypatch.setattr(regularity, "_pair_sup", _two_direction_pair_sup)
+    ref = [(qs_constant(f), qsc_constant(f)) for f in corpus]
+    assert got == ref
+    flat = [v for pair in got for v in pair]
+    assert math.inf in flat and 1.0 in flat and any(1.0 < v < math.inf for v in flat)
