@@ -19,7 +19,7 @@ Conventions:
 * a zero ray direction raises ``ValueError``
 * variants implement one ray method, ``ray_hits_both`` (the whole chord:
   both hits of the line through each start); ``ray_hits`` is its ``+V``
-  half
+  half, which the Newton cast computes without the ``-V`` loop
 * gauges are convex; a variant without its own chord cast also gives
   ``gauge_and_grad`` (the gauge and its gradient, any subgradient at a
   kink, from one shared computation) and ``_outer``, a circumscribed
@@ -202,6 +202,8 @@ class ConvexDomain:
     param_period: float = 2.0 * np.pi
     boundary_tol: float = 1e-10
     strictly_convex: bool = True
+    # false on the variants with their own ray_hits_both, which ray_hits then takes
+    _newton_cast: bool = True
 
     # ---- per-variant interface -------------------------------------------------
 
@@ -277,8 +279,12 @@ class ConvexDomain:
 
     def ray_hits(self, P, V) -> np.ndarray:
         """First boundary hit parameter along each ray ``P[i] + t*V[i]``: the
-        ``+V`` half of :meth:`ray_hits_both`."""
-        return self.ray_hits_both(P, V)[0]
+        ``+V`` half of :meth:`ray_hits_both`, bit for bit.  The Newton cast
+        runs its ``+V`` loop only."""
+        if not self._newton_cast:
+            return self.ray_hits_both(P, V)[0]
+        P, U, rows, out_plus, _ = self._newton_starts(P, V)
+        return self._newton_hits(P, U, rows, out_plus)
 
     def ray_hits_both(self, P, V):
         """Hit parameters along ``+V`` and ``-V`` (two arrays): the chord of
@@ -299,13 +305,18 @@ class ConvexDomain:
         batch.  The two directions share the input checks, the interior mask
         and the outer exits, and run the loop one after the other.
         """
+        P, U, rows, out_plus, out_minus = self._newton_starts(P, V)
+        return self._newton_hits(P, U, rows, out_plus), self._newton_hits(P, -U, rows, out_minus)
+
+    def _newton_starts(self, P, V):
+        """The unit rays, the interior rows and those rows' exits from
+        ``_outer`` along ``+U`` and ``-U``: the set-up both Newton casts share."""
         P, U = self._unit_rays(P, V)
         rows = np.flatnonzero(self.gauge(P) < 0.0)
         # exits for the whole batch, so that any polygon slacks the gauge
         # shares round as they did in gauge(P) and no interior row gets NaN
         out_plus, out_minus = self._outer_hits(P, U)
-        return (self._newton_hits(P, U, rows, out_plus.take(rows)),
-                self._newton_hits(P, -U, rows, out_minus.take(rows)))
+        return P, U, rows, out_plus.take(rows), out_minus.take(rows)
 
     def _newton_hits(self, P, U, rows, t_r):
         """Newton from the outer exits ``t_r`` of the interior ``rows``; NaN
@@ -375,6 +386,8 @@ class ConvexDomain:
 
 class Ellipse(ConvexDomain):
     """Ellipse with center, semi-axes and rotation; rays solve a quadratic."""
+
+    _newton_cast = False
 
     def __init__(self, center=(0.0, 0.0), semi_axes=(1.0, 1.0), rotation: float = 0.0):
         self.center = as_point(center)
@@ -447,6 +460,8 @@ class PBall(ConvexDomain):
         self.center.setflags(write=False)
         # p = 1 is the diamond: flat sides, corner points
         self.strictly_convex = p > 1.0
+        # p = 2 is the disk, whose chords solve a quadratic
+        self._newton_cast = p != 2.0
 
     def gauge(self, P) -> np.ndarray:
         Z = (as_points(P) - self.center) / self.radius
@@ -478,7 +493,7 @@ class PBall(ConvexDomain):
         return self.radius * 2.0 ** max(0.0, 0.5 - 1.0 / self.p)
 
     def ray_hits_both(self, P, V):
-        if self.p != 2.0:
+        if self._newton_cast:
             return super().ray_hits_both(P, V)
         P, U = self._unit_rays(P, V)
         B, C, disc, A = _unit_conic_terms((P - self.center) / self.radius, U, 1.0)
@@ -522,6 +537,7 @@ class Polygon(ConvexDomain):
     param_period = 1.0
     boundary_tol = 1e-8
     strictly_convex = False
+    _newton_cast = False
 
     def __init__(self, vertices):
         V = as_points(vertices)
@@ -744,6 +760,8 @@ class ProjectiveImage(ConvexDomain):
     from zero with constant sign.  Chords are computed exactly by pulling the
     ray's line back to the inner domain and pushing the endpoints forward.
     """
+
+    _newton_cast = False
 
     def __init__(self, inner: ConvexDomain, H: ProjectiveMap, _samples: int = 512):
         if isinstance(inner, ProjectiveImage):

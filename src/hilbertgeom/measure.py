@@ -18,6 +18,8 @@ Each region's refinement is a generator that asks for the densities of its
 cell centroids, so many regions can be refined in lock step with one density
 batch per round (the pieces of an ideal triangle are); densities are
 computed row by row, so a region's estimate is the same alone or batched.
+Metric balls are integrated in polar shells about their centre
+(:func:`ball_area`), each level checked by error estimates from its own nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .domains import ConvexDomain, as_point, as_points
 from .errors import PointNotInterior, RegionOutsideDomain
+from .metric import _require_count
 
 OMEGA_2 = math.pi
 DENSITY_CLIP = 1e30
@@ -38,6 +41,11 @@ _TINY = 1e-300
 _BALL_ROWS = 1024
 # unit-ball directions per density point of a metric-ball quadrature level
 _BALL_DENSITY_DIRS = 64
+# rounding allowed per term of a metric-ball level, times its conditioning:
+# disk balls, which both rules integrate to rounding, differ from the level
+# with twice the nodes of each rule by at most 1.4 ulps per term so scaled
+# (R in [0.2, 6], 30 balls on the disk and an ellipse)
+_BALL_ROUNDING = 16.0 * np.finfo(float).eps
 # eight probe directions k * pi/4: four chords, the second four directions
 # the exact negations of the first
 _PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
@@ -138,7 +146,8 @@ def unit_ball_areas(
     integrand there is the same value with the two chord hits swapped.  So
     only the first half-circle of directions is cast (each chord once, both
     hits from ``ray_hits_both``), and each node carries the Simpson weights
-    of both psi and psi + pi.
+    of both psi and psi + pi.  An odd ``n_dirs`` is rounded up to the next
+    even count.
 
     Points are processed in chunks of at most ``_BALL_ROWS``, which bounds
     the (points x directions) ray arrays; every point's area is computed on
@@ -428,20 +437,35 @@ def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) 
     return q + t[:, None] * U
 
 
-def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: int) -> float:
-    """One tensor-quadrature level of the ball-area integral.
+def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: int):
+    """One tensor-quadrature level of the ball-area integral: its value and
+    an error estimate, both from this level's nodes.
 
-    Polar coordinates about q: angular nodes from the adapted frame with
-    periodic Simpson weights, radial shells at Gauss-Legendre Hilbert radii
-    rho in (0, R).  Shell positions t invert the distance profile of each
-    chord in closed form, and the radial Jacobian is the reciprocal slope
-    dt/drho = 2 / (1/(t_minus + t) + 1/(t_plus - t)).
+    Polar coordinates about q: ``n_psi`` angular nodes psi from the adapted
+    frame with uniform trapezoid weights 2 pi / n_psi times the
+    elliptical-angle Jacobian, and radial shells at the ``n_r``
+    Gauss-Legendre Hilbert radii rho in (0, R).  Shell positions t invert
+    the distance profile of each chord in closed form, and the radial
+    Jacobian is the reciprocal slope dt/drho = 2 / (1/(t_minus + t) +
+    1/(t_plus - t)).
+
+    The estimate sums two differences to coarser rules on the same chords
+    and a rounding allowance.  Angular: the integrand is smooth and periodic
+    in psi, where the trapezoid rule converges geometrically; its even nodes
+    are the trapezoid rule of n_psi/2 nodes, so |T_n - T_{n/2}| casts no
+    extra ray.  Radial: |G_{n_r} - G_{n_r/2}| against the Gauss-Legendre
+    rule of n_r/2 nodes, whose shells join the same :func:`densities` call.
+    Each difference is about the error of the coarser rule, which bounds
+    that of the finer one while the rules converge.  Once both have
+    converged, rounding is what is left: ``_BALL_ROUNDING`` of each node's
+    term, times the node's conditioning t_plus / (t_plus - t), since a shell
+    near the boundary carries the rounding of t in its gap.
     """
     U, tp, tm, jac = _frame_chords(domain, q, n_psi)
 
-    rho, w_r = np.polynomial.legendre.leggauss(n_r)
-    rho = 0.5 * R * (rho + 1.0)
-    w_r = 0.5 * R * w_r
+    x, w_r = np.polynomial.legendre.leggauss(n_r)
+    x_half, w_half = np.polynomial.legendre.leggauss(n_r // 2)
+    rho = 0.5 * R * (np.concatenate([x, x_half]) + 1.0)
 
     TP = tp[:, None]
     TM = tm[:, None]
@@ -449,9 +473,17 @@ def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: 
     dtdrho = 2.0 / (1.0 / (TM + T) + 1.0 / np.maximum(TP - T, _TINY))
     X = (q[None, None, :] + T[:, :, None] * U[:, None, :]).reshape(-1, 2)
     h = densities(domain, X, n_dirs=_BALL_DENSITY_DIRS, validate=False)
-    integrand = (h.reshape(n_psi, n_r)) * T * dtdrho
-    w_psi = _simpson_weights(n_psi) * jac
-    return float(w_psi @ integrand @ w_r)
+    integrand = h.reshape(n_psi, len(rho)) * T * dtdrho
+    # per angle, the radial integrals of the two Gauss-Legendre rules
+    radial = integrand[:, :n_r] @ (0.5 * R * w_r)
+    radial_half = integrand[:, n_r:] @ (0.5 * R * w_half)
+    w_psi = (2.0 * np.pi / n_psi) * jac
+    value = float(w_psi @ radial)
+    angular_error = abs(value - 2.0 * float(w_psi[::2] @ radial[::2]))
+    radial_error = abs(value - float(w_psi @ radial_half))
+    conditioned = (integrand[:, :n_r] * (TP / (TP - T[:, :n_r]))) @ (0.5 * R * w_r)
+    rounding = _BALL_ROUNDING * float(w_psi @ conditioned)
+    return value, angular_error + radial_error + rounding
 
 
 def ball_area(
@@ -465,25 +497,37 @@ def ball_area(
 ) -> QuadratureEstimate:
     """Hilbert measure of the metric ball of radius R centered at q.
 
-    Integrates the density over polar shells about q; every shell is located
-    by the closed-form inverse of the Hilbert distance along its chord.  Both
-    node counts double per refinement level until successive totals agree to
-    ``tol`` (relative) or the level cap ``max_depth`` (at least 1) is reached.
+    Integrates the density over polar shells about q (:func:`_ball_level`):
+    ``n_dirs`` trapezoid nodes in the adapted-frame angle psi, ``n_radial``
+    Gauss-Legendre shells in the Hilbert radius, each shell located by the
+    closed-form inverse of the Hilbert distance along its chord.  Level k
+    doubles both counts k times.  The first level, from 0 up to
+    ``max_depth``, whose embedded estimate (angular, radial and rounding) is
+    at most ``tol`` times its value is returned with that estimate as
+    ``error_bound`` and the level as ``depth``, so depth 0 means the first
+    level was accepted.  At the cap the estimate is marked diverged when
+    the value still grew by more than a factor 1 + tol over the level
+    before.  The estimate leaves out the density's own angular error.
+
+    ``n_dirs`` and ``n_radial`` must be even integers >= 2 (the coarser
+    rules halve them) and ``max_depth`` an integer >= 1.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    for name, n in (("n_dirs", n_dirs), ("n_radial", n_radial)):
+        _require_count(name, n)
+        if n % 2:
+            raise ValueError(f"{name} must be even, not {n!r}")
+    _require_count("max_depth", max_depth)
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
     _check_radius(R)
-    value = _ball_level(domain, q, R, n_dirs, n_radial)
-    for level in range(1, max_depth + 1):
+    value = math.nan
+    for level in range(max_depth + 1):
         value_prev = value
-        value = _ball_level(domain, q, R, n_dirs * 2 ** level, n_radial * 2 ** level)
-        if abs(value - value_prev) <= tol * abs(value):
-            return QuadratureEstimate(value=value, error_bound=abs(value - value_prev),
-                                      depth=level, diverged=False)
-    return QuadratureEstimate(value=value, error_bound=abs(value - value_prev),
-                              depth=max_depth, diverged=bool(value > value_prev * (1.0 + tol)))
+        value, error = _ball_level(domain, q, R, n_dirs * 2 ** level, n_radial * 2 ** level)
+        if error <= tol * abs(value):
+            return QuadratureEstimate(value=value, error_bound=error, depth=level, diverged=False)
+    return QuadratureEstimate(value=value, error_bound=error, depth=max_depth,
+                              diverged=bool(value > value_prev * (1.0 + tol)))

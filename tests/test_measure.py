@@ -12,6 +12,7 @@ from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     _PROBE_DIRS,
     QuadratureEstimate,
+    _ball_level,
     _grid_area,
     _harmonic_halfwidth,
     _simpson_weights,
@@ -66,12 +67,14 @@ def test_unit_ball_area_disk_center():
 
 
 def test_klein_ball_areas_closed_form():
+    # the first level's own estimate accepts every disk ball
     disk = unit_disk()
-    for R in (0.5, 1.0, 2.0):
-        est = ball_area(disk, (0.0, 0.0), R)
+    for q, R in (((0.0, 0.0), 0.5), ((0.0, 0.0), 1.0), ((0.0, 0.0), 2.0), ((0.3, -0.2), 3.5)):
+        est = ball_area(disk, q, R)
         exact = 4.0 * math.pi * math.sinh(R / 2.0) ** 2
         assert not est.diverged
-        assert est.value == pytest.approx(exact, rel=1e-9)
+        assert est.depth == 0
+        assert est.value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_ball_area_isometry_invariant():
@@ -89,6 +92,29 @@ def test_ball_area_pball_sane():
     assert not est.diverged
     assert np.isfinite(est.value)
     assert est.value > 0.0
+
+
+@pytest.mark.parametrize("dom, q, R", [(PBall(4.0), (0.1, 0.0), 2.5),
+                                       (SmoothedPolygon(regular_polygon(4).vertices, 0.1), (0.05, -0.1), 2.5),
+                                       (unit_disk(), (0.4, -0.3), 3.0)],
+                         ids=["pball4", "smoothed", "disk-off-centre"])
+def test_ball_level_estimate_covers_its_error(dom, q, R):
+    # against the level with twice the angular and twice the radial nodes
+    q = np.array(q)
+    value, error = _ball_level(dom, q, R, 192, 24)
+    reference, _ = _ball_level(dom, q, R, 384, 48)
+    assert abs(value - reference) <= error
+    assert ball_area(dom, q, R) == QuadratureEstimate(value, error, 0, False)
+
+
+def test_ball_area_tight_tol_refines_until_its_estimate_meets_it():
+    dom, q, R, tol = PBall(4.0), np.array([0.1, 0.0]), 1.0, 1e-7
+    coarse, coarse_error = _ball_level(dom, q, R, 192, 24)
+    assert coarse_error > tol * coarse
+    est = ball_area(dom, q, R, tol=tol)
+    assert est.depth >= 1 and not est.diverged
+    assert est.error_bound <= tol * est.value
+    assert abs(est.value - coarse) <= coarse_error
 
 
 def test_region_area_additive_and_orientation_free():
@@ -167,6 +193,15 @@ def test_ball_area_rejects_tol_not_positive(tol):
 def test_ball_area_rejects_bad_radius_or_depth(R, max_depth):
     with pytest.raises(ValueError, match="radius|max_depth"):
         ball_area(unit_disk(), (0.0, 0.0), R, max_depth=max_depth)
+
+
+@pytest.mark.parametrize("field, value", [("n_dirs", 0), ("n_dirs", 2.5), ("n_dirs", 3), ("n_dirs", True),
+                                          ("n_dirs", 192.0), ("n_radial", 1), ("n_radial", 0), ("n_radial", -2),
+                                          ("max_depth", True), ("max_depth", 2.5), ("max_depth", -1)])
+def test_ball_area_rejects_bad_node_counts(field, value):
+    # the coarser embedded rules halve both node counts
+    with pytest.raises(ValueError, match=field):
+        ball_area(unit_disk(), (0.0, 0.0), 1.0, **{field: value})
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
