@@ -379,10 +379,6 @@ class ConvexDomain:
             line = Line2(-line.u, -line.v, -line.w)
         return line
 
-    def projective_image(self, H: ProjectiveMap) -> "ProjectiveImage":
-        """Image domain under ``H``; raises ``ImproperImage`` when unbounded."""
-        return ProjectiveImage(self, H)
-
 
 class Ellipse(ConvexDomain):
     """Ellipse with center, semi-axes and rotation; rays solve a quadratic."""

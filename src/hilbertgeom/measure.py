@@ -10,13 +10,15 @@ whenever the unit ball is an ellipse (so ellipse domains give machine
 accuracy at any direction count) and costs one Jacobian factor otherwise.
 
 Region integrals sum the density over an adaptively refined triangulation.
-Each round refines the unsettled cells in order of descending error, ties
-in creation order, so results are reproducible; cells that keep growing at
-the depth cap flag the estimate as diverged, in which case the value is a
-lower bound only.
-Each region's refinement is a generator that asks for the densities of its
-cell centroids, so many regions can be refined in lock step with one density
-batch per round (the pieces of an ideal triangle are); densities are
+Each cell is valued by Radon's 7-point rule, exact for polynomials of degree
+5 (Stroud T2:5-1), so the local error falls as h^6 where the density is
+smooth.  Each round refines the unsettled cells in order of descending
+error, ties in creation order, so results are reproducible; cells that keep
+growing at the depth cap or the point budget flag the estimate as diverged,
+in which case the value is a lower bound only.
+Each region's refinement is a generator that asks for the densities at its
+cells' rule nodes, so many regions can be refined in lock step with one
+density batch per round (the pieces of an ideal triangle are); densities are
 computed row by row, so a region's estimate is the same alone or batched.
 Metric balls are integrated in polar shells about their centre
 (:func:`ball_area`), each level checked by error estimates from its own nodes.
@@ -50,6 +52,18 @@ _BALL_ROUNDING = 16.0 * np.finfo(float).eps
 # the exact negations of the first
 _PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
 _PROBE_DIRS = np.concatenate([_PROBE_CHORDS, -_PROBE_CHORDS])
+# Radon's 7-point rule on a triangle, exact to degree 5 (Stroud T2:5-1):
+# barycentric nodes, the centroid and the three permutations of
+# (a, a, 1 - 2a) for each a = (6 -+ sqrt 15)/21, with weights summing to 1
+_CELL_NODES = np.array([[1.0 / 3.0] * 3] + [
+    np.roll([a, a, 1.0 - 2.0 * a], k) for a in ((6.0 - math.sqrt(15.0)) / 21.0, (6.0 + math.sqrt(15.0)) / 21.0)
+    for k in range(3)])
+_CELL_WEIGHTS = np.array([9.0 / 40.0] + [(155.0 - math.sqrt(15.0)) / 1200.0] * 3
+                         + [(155.0 + math.sqrt(15.0)) / 1200.0] * 3)
+# density points per cell, and per refined cell: its four children each
+# value their own four children
+_CELL_POINTS = len(_CELL_NODES)
+_REFINE_POINTS = 16 * _CELL_POINTS
 
 
 @dataclass(frozen=True)
@@ -263,39 +277,43 @@ def region_area(
     region,
     tol: float = 1e-3,
     max_depth: int = 14,
-    max_cells: int = 20000,
+    max_points: int = 80000,
     n_dirs: int = 64,
 ) -> QuadratureEstimate:
     """Hilbert measure of a convex polygonal region inside the domain.
 
     Fan-triangulates the region, then refines cells by midpoint subdivision
     until the local Richardson error (coarse cell value against the sum of
-    its four children) drops below ``tol`` times the cell value.  Each round
+    its four children) drops below ``tol`` times the cell value.  Every cell
+    is valued by Radon's 7-point rule, area times a weighted sum of the
+    density at seven nodes, exact for polynomials of degree 5.  Each round
     refines the unsettled cells below ``max_depth`` in order of descending
-    error, ties in creation order, as far as ``max_cells`` allows.  If cells
-    remain unsettled when refinement stops and the last round still grew the
-    total by more than a factor 1 + tol, the estimate is marked diverged.
+    error, ties in creation order, as far as ``max_points`` allows: the
+    budget counts every density point evaluated, the fan's own included, and
+    refining a cell costs 16 cells of 7 points.  If cells remain unsettled
+    when refinement stops and the last round still grew the total by more
+    than a factor 1 + tol, the estimate is marked diverged.
     An empty region has measure 0.
 
     This drives one region through the same refinement loop that
     :func:`_region_areas` runs for many regions at once, so a region's
     estimate does not depend on which other regions share its rounds.
     """
-    return _region_areas(domain, [region], tol, max_depth, max_cells, n_dirs)[0]
+    return _region_areas(domain, [region], tol, max_depth, max_points, n_dirs)[0]
 
 
-def _region_areas(domain: ConvexDomain, regions, tol: float, max_depth: int, max_cells: int, n_dirs: int) -> list:
+def _region_areas(domain: ConvexDomain, regions, tol: float, max_depth: int, max_points: int, n_dirs: int) -> list:
     """:func:`region_area` of each region, all refined together.
 
-    Every region keeps its own cells, refinement order, depth cap, cell
+    Every region keeps its own cells, refinement order, depth cap, point
     budget and divergence test; each round makes one :func:`densities` call
-    holding the centroids of every region still refining and splits the
+    holding the rule nodes of every region still refining and splits the
     densities back.  Densities are computed row by row, so each estimate
     equals the one ``region_area`` gives for its region alone.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    quads = [_region_quadrature(domain, r, tol, max_depth, max_cells) for r in regions]
+    quads = [_region_quadrature(domain, r, tol, max_depth, max_points) for r in regions]
     results = [None] * len(quads)
     wanted = {}
     for i, quad in enumerate(quads):
@@ -317,17 +335,24 @@ def _region_areas(domain: ConvexDomain, regions, tol: float, max_depth: int, max
     return results
 
 
+def _cell_values(tri: np.ndarray):
+    """Generator step: the 7-point rule value of each (3, 2) cell, shape
+    (n,), from the densities at its nodes."""
+    h = yield np.einsum("kv,nvd->nkd", _CELL_NODES, tri).reshape(-1, 2)
+    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
+    # place in the batch
+    return _tri_areas(tri) * np.einsum("ij,j->i", h.reshape(-1, _CELL_POINTS), _CELL_WEIGHTS)
+
+
 def _kid_values(tri: np.ndarray):
-    """Generator step: the values area * density of each cell's four
-    children, shape (n, 4), from the densities at their centroids."""
-    flat = _split4(tri).reshape(-1, 3, 2)
-    return (_tri_areas(flat) * (yield flat.mean(axis=1))).reshape(-1, 4)
+    """Generator step: the values of each cell's four children, shape (n, 4)."""
+    return (yield from _cell_values(_split4(tri).reshape(-1, 3, 2))).reshape(-1, 4)
 
 
-def _region_quadrature(domain, region, tol, max_depth, max_cells):
+def _region_quadrature(domain, region, tol, max_depth, max_points):
     """Adaptive quadrature of one region as a generator.
 
-    Yields the cell centroids whose densities it needs next, receives those
+    Yields the rule nodes whose densities it needs next, receives those
     densities, and returns the region's :class:`QuadratureEstimate`.  The
     cells are kept in creation order: refined cells are dropped and their
     children appended, so a stable sort by error breaks ties by age.
@@ -335,10 +360,10 @@ def _region_quadrature(domain, region, tol, max_depth, max_cells):
     tri = _fan(domain, region)
     if len(tri) == 0:
         return QuadratureEstimate(0.0, 0.0, 0, False)
-    own = _tri_areas(tri) * (yield tri.mean(axis=1))
+    own = yield from _cell_values(tri)
     kids = yield from _kid_values(tri)
     depth = np.zeros(len(tri), dtype=int)
-    budget_left = max_cells - len(tri)
+    budget_left = max_points - 5 * _CELL_POINTS * len(tri)
     total_prev = math.inf
     while True:
         fine = kids.sum(axis=1)
@@ -346,10 +371,10 @@ def _region_quadrature(domain, region, tol, max_depth, max_cells):
         total = float(fine.sum())
         settled = err <= tol * np.maximum(fine, 0.0) + 1e-15 * max(1.0, abs(total))
         idx = np.flatnonzero(~settled & (depth < max_depth))
-        idx = idx[np.argsort(-err[idx], kind="stable")][: max(budget_left // 4, 0)]
+        idx = idx[np.argsort(-err[idx], kind="stable")][: max(budget_left // _REFINE_POINTS, 0)]
         if len(idx) == 0:
             break
-        budget_left -= 4 * len(idx)
+        budget_left -= _REFINE_POINTS * len(idx)
         children = _split4(tri[idx]).reshape(-1, 3, 2)
         child_kids = yield from _kid_values(children)
         keep = np.ones(len(tri), dtype=bool)
@@ -359,7 +384,7 @@ def _region_quadrature(domain, region, tol, max_depth, max_cells):
         own = np.concatenate([own[keep], kids[idx].reshape(-1)])
         kids = np.concatenate([kids[keep], child_kids])
         total_prev = total
-    # refinement stops with unsettled cells only at the depth cap or the cell budget
+    # refinement stops with unsettled cells only at the depth cap or the point budget
     diverged = bool(np.any(~settled)) and total > total_prev * (1.0 + tol)
     return QuadratureEstimate(value=total, error_bound=float(err.sum()), depth=int(depth.max()), diverged=diverged)
 
@@ -367,9 +392,9 @@ def _region_quadrature(domain, region, tol, max_depth, max_cells):
 def _grid_area(domain: ConvexDomain, region) -> float:
     """Hilbert measure of a region on a fixed grid that is the same in every
     domain: each fan triangle split three times, unwarped densities at 32
-    directions, summed as area times density.  Nested-domain comparisons
-    need grids that match across domains, which adaptive refinement does
-    not give.
+    directions, summed as area times the density at each cell's centroid.
+    Nested-domain comparisons need grids that match across domains, which
+    adaptive refinement does not give.
     """
     tri = _fan(domain, region)
     for _ in range(3):
@@ -505,9 +530,13 @@ def ball_area(
     ``max_depth``, whose embedded estimate (angular, radial and rounding) is
     at most ``tol`` times its value is returned with that estimate as
     ``error_bound`` and the level as ``depth``, so depth 0 means the first
-    level was accepted.  At the cap the estimate is marked diverged when
-    the value still grew by more than a factor 1 + tol over the level
-    before.  The estimate leaves out the density's own angular error.
+    level was accepted.  From level 1 on, refinement also stops at the first
+    level whose estimate is not below the level before: the rules have then
+    run into an error they do not see, such as the density's own angular
+    error, which the estimate leaves out.  That level is returned, or the
+    level at the cap, with ``error_bound`` above ``tol * |value|`` saying
+    that ``tol`` was not reached, and marked diverged when its value still
+    grew by more than a factor 1 + tol over the level before.
 
     ``n_dirs`` and ``n_radial`` must be even integers >= 2 (the coarser
     rules halve them) and ``max_depth`` an integer >= 1.
@@ -523,11 +552,13 @@ def ball_area(
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
     _check_radius(R)
-    value = math.nan
+    value = error = math.nan
     for level in range(max_depth + 1):
-        value_prev = value
+        value_prev, error_prev = value, error
         value, error = _ball_level(domain, q, R, n_dirs * 2 ** level, n_radial * 2 ** level)
         if error <= tol * abs(value):
             return QuadratureEstimate(value=value, error_bound=error, depth=level, diverged=False)
-    return QuadratureEstimate(value=value, error_bound=error, depth=max_depth,
+        if level >= 1 and error >= error_prev:
+            break
+    return QuadratureEstimate(value=value, error_bound=error, depth=level,
                               diverged=bool(value > value_prev * (1.0 + tol)))

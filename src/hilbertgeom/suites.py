@@ -181,8 +181,8 @@ def _finite_area_case(alpha: float, lam: float, tau: float, tol: float) -> Check
     # the cusp vertex sits on the boundary, so the refinement never settles
     # inside tol and the quadrature may report diverged; convergence is
     # certified by comparing two depth caps instead
-    coarse = region_area(dom, T, tol=tol, max_depth=14, max_cells=60000)
-    fine = region_area(dom, T, tol=tol, max_depth=16, max_cells=60000)
+    coarse = region_area(dom, T, tol=tol, max_depth=14, max_points=240000)
+    fine = region_area(dom, T, tol=tol, max_depth=16, max_points=240000)
     bound = power_cap_corner_bound(alpha, lam, tau)
     drift = abs(fine.value - coarse.value) / max(fine.value, 1e-300)
     ok = drift < 0.01 and fine.value <= bound

@@ -13,6 +13,7 @@ polygon domains must show.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,11 @@ from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
 LADDER_DEPTH = 12
-# refinement of each hexagon and ladder piece: depth cap, cell budget and
-# unit-ball directions per density point
+# refinement of each hexagon and ladder piece (7-point cells, see
+# measure.region_area): depth cap, budget of density points and unit-ball
+# directions per density point
 PIECE_MAX_DEPTH = 9
-PIECE_MAX_CELLS = 1500
+PIECE_MAX_POINTS = 6000
 PIECE_DIRS = 24
 _SIDE_SAMPLES = 64
 
@@ -152,13 +154,34 @@ def _ladder_piece(V: np.ndarray, i: int, s_out: float, s_in: float) -> np.ndarra
 
 @dataclass(frozen=True)
 class CornerLadder:
-    """Partial sums of one corner ladder with its extrapolated tail."""
+    """Partial sums of one corner ladder with its extrapolated tail.
+
+    Where the boundary at the vertex is locally |x|^beta, the density at
+    side fraction s grows like s^(-1 - 1/beta) and a rung's area shrinks like
+    s^2, so the increments decay by r = 2^-(1 - 1/beta) per rung: the ladder
+    measures the boundary's exponent, and r -> 1 at a corner (beta = 1).
+    """
 
     partial: float
     tail: float
     increments: tuple
     diverged: bool
     error: float
+
+    @property
+    def decay_ratio(self) -> float:
+        """The last increment over the one before (NaN when that is 0)."""
+        before = self.increments[-2]
+        return self.increments[-1] / before if before else math.nan
+
+    @property
+    def boundary_exponent(self) -> float:
+        """beta = 1 / (1 + log2 r) from the decay ratio r; NaN unless r > 0."""
+        r = self.decay_ratio
+        if not r > 0.0:
+            return math.nan
+        d = 1.0 + math.log2(r)
+        return 1.0 / d if d else math.inf
 
 
 def _ladder(estimates) -> CornerLadder:
@@ -213,7 +236,7 @@ def ideal_triangle_area_detail(
     rungs = ladder_depth - 1
     pieces = [corner_decomposition(domain, T, 0.5).hexagon]
     pieces += [_ladder_piece(V, i, fractions[k], fractions[k + 1]) for i in range(3) for k in range(rungs)]
-    estimates = _region_areas(domain, pieces, tol, PIECE_MAX_DEPTH, PIECE_MAX_CELLS, PIECE_DIRS)
+    estimates = _region_areas(domain, pieces, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS, PIECE_DIRS)
     ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
     return estimates[0], ladders
 

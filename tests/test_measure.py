@@ -10,9 +10,11 @@ from hilbertgeom._malloc import pin_malloc_thresholds
 from hilbertgeom.domains import PBall, Polygon, SmoothedPolygon, regular_polygon, unit_disk
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
+    _CELL_NODES,
     _PROBE_DIRS,
     QuadratureEstimate,
     _ball_level,
+    _cell_values,
     _grid_area,
     _harmonic_halfwidth,
     _simpson_weights,
@@ -115,6 +117,52 @@ def test_ball_area_tight_tol_refines_until_its_estimate_meets_it():
     assert est.depth >= 1 and not est.diverged
     assert est.error_bound <= tol * est.value
     assert abs(est.value - coarse) <= coarse_error
+
+
+def test_ball_area_stops_once_its_estimate_stops_falling():
+    # the estimates of levels 0-2 fall to about 7e-9 and stall there, short
+    # of tol, against the density's own angular error
+    dom, q, R, tol = PBall(4.0), np.array([0.1, 0.0]), 1.0, 1e-9
+    est = ball_area(dom, q, R, tol=tol)
+    assert est.depth == 2
+    assert est.error_bound > tol * est.value
+    assert est.error_bound >= _ball_level(dom, q, R, 384, 48)[1]
+
+
+def _cell_rule(T, f):
+    quad = _cell_values(T[None])
+    X = next(quad)
+    with pytest.raises(StopIteration) as stop:
+        quad.send(f(X[:, 0], X[:, 1]))
+    return stop.value.value[0]
+
+
+def _collapsed_gauss(T, f):
+    # Gauss-Legendre in (u, v) on the square mapped onto T by s = u,
+    # t = (1 - u) v: exact for polynomials of degree up to 14
+    x, w = np.polynomial.legendre.leggauss(8)
+    U, V = np.meshgrid(0.5 * (x + 1.0), 0.5 * (x + 1.0), indexing="ij")
+    W = 0.25 * np.outer(w, w) * (1.0 - U)
+    S, Tt = U, (1.0 - U) * V
+    X = T[0][0] + S * (T[1][0] - T[0][0]) + Tt * (T[2][0] - T[0][0])
+    Y = T[0][1] + S * (T[1][1] - T[0][1]) + Tt * (T[2][1] - T[0][1])
+    cross = (T[1][0] - T[0][0]) * (T[2][1] - T[0][1]) - (T[1][1] - T[0][1]) * (T[2][0] - T[0][0])
+    return abs(cross) * float(np.sum(W * f(X, Y)))
+
+
+def test_cell_rule_is_exact_to_degree_five():
+    T = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2))
+    assert np.all(_CELL_NODES >= 0.0) and np.allclose(_CELL_NODES.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    for a in range(6):
+        for b in range(6 - a):
+            def f(x, y):
+                return x ** a * y ** b
+            assert _cell_rule(T, f) == pytest.approx(_collapsed_gauss(T, f), rel=1e-13, abs=1e-15), (a, b)
+    for a, b in ((6, 0), (3, 3)):
+        def f(x, y):
+            return x ** a * y ** b
+        exact = _collapsed_gauss(T, f)
+        assert abs(_cell_rule(T, f) - exact) > 1e-6 * abs(exact), (a, b)
 
 
 def test_region_area_additive_and_orientation_free():

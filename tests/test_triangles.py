@@ -16,7 +16,10 @@ from hilbertgeom.domains import (
     unit_disk,
 )
 from hilbertgeom.errors import DegenerateVertices, InvalidTriangle
+from hilbertgeom import measure
 from hilbertgeom.measure import (
+    _CELL_NODES,
+    _CELL_WEIGHTS,
     QuadratureEstimate,
     _split4,
     _tri_areas,
@@ -25,6 +28,9 @@ from hilbertgeom.measure import (
     region_area,
 )
 from hilbertgeom.triangles import (
+    PIECE_DIRS,
+    PIECE_MAX_DEPTH,
+    PIECE_MAX_POINTS,
     CornerLadder,
     SupAreaResult,
     TriangleSamplerConfig,
@@ -37,10 +43,10 @@ from hilbertgeom.triangles import (
     sup_area_search,
 )
 
-# frozen quadrature outputs for the default settings
-DISK_SYMMETRIC_AREA = 3.1409962989426528
-SQUARE_EDGE_TRIPLE_AREA = 1.6171470604337113
-DISK_SUP_BUDGET2_SEED0 = 3.1409856477197238
+# frozen quadrature outputs for the default settings (7-point cell rule)
+DISK_SYMMETRIC_AREA = 3.1415336861668735
+SQUARE_EDGE_TRIPLE_AREA = 1.6174277271190185
+DISK_SUP_BUDGET2_SEED0 = 3.141528252494939
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -181,12 +187,14 @@ def test_ladder_depth_below_four_raises():
 # its own density batches, and a ladder loop over them.
 
 
-def _reference_region_area(domain, region, tol, max_depth, max_cells, n_dirs):
+def _reference_region_area(domain, region, tol, max_depth, max_points, n_dirs):
     V = as_points(region)
     _validate_region(domain, V)
+    cell_points = len(_CELL_WEIGHTS)
 
-    def h_at(points):
-        return densities(domain, points, n_dirs=n_dirs, validate=False)
+    def rule(T):
+        h = densities(domain, np.einsum("kv,nvd->nkd", _CELL_NODES, T).reshape(-1, 2), n_dirs=n_dirs, validate=False)
+        return _tri_areas(T) * np.einsum("ij,j->i", h.reshape(-1, cell_points), _CELL_WEIGHTS)
 
     centroid = V.mean(axis=0)
     tris = np.stack([np.repeat(centroid[None, :], len(V), axis=0), V, np.roll(V, -1, axis=0)], axis=1)
@@ -194,10 +202,9 @@ def _reference_region_area(domain, region, tol, max_depth, max_cells, n_dirs):
 
     def prepare(T, iself=None):
         if iself is None:
-            iself = _tri_areas(T) * h_at(T.mean(axis=1))
+            iself = rule(T)
         kids = _split4(T)
-        flat = kids.reshape(-1, 3, 2)
-        kid_vals = (_tri_areas(flat) * h_at(flat.mean(axis=1))).reshape(-1, 4)
+        kid_vals = rule(kids.reshape(-1, 3, 2)).reshape(-1, 4)
         ifine = kid_vals.sum(axis=1)
         return ifine, np.abs(ifine - iself), kid_vals, kids
 
@@ -208,7 +215,10 @@ def _reference_region_area(domain, region, tol, max_depth, max_cells, n_dirs):
     next_id = n
     total_prev = None
     total = float(ifine.sum())
-    budget_left = max_cells - n
+    # every density point is charged: the fan cells and their children, then
+    # 16 cells per refined cell
+    budget_left = max_points - 5 * cell_points * n
+    refine_points = 16 * cell_points
     budget_exhausted = False
     while True:
         settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(total))
@@ -218,12 +228,12 @@ def _reference_region_area(domain, region, tol, max_depth, max_cells, n_dirs):
             break
         idx = np.flatnonzero(active)
         idx = idx[np.lexsort((cells["id"][idx], -cells["err"][idx]))]
-        if 4 * len(idx) > budget_left:
-            idx = idx[: budget_left // 4]
+        if refine_points * len(idx) > budget_left:
+            idx = idx[: budget_left // refine_points]
             if len(idx) == 0:
                 budget_exhausted = True
                 break
-        budget_left -= 4 * len(idx)
+        budget_left -= refine_points * len(idx)
         child_tris = cells["kids"][idx].reshape(-1, 3, 2)
         cifine, cerr, ckid_vals, ckids = prepare(child_tris, iself=cells["kid_vals"][idx].reshape(-1))
         keep = np.ones(len(cells["tri"]), dtype=bool)
@@ -268,8 +278,8 @@ def _reference_run_ladder(domain, V, i, tol, depth, piece_kwargs):
     return CornerLadder(partial=partial, tail=tail, increments=tuple(increments), diverged=False, error=err)
 
 
-def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_cells=1500, n_dirs=24):
-    kw = {"max_depth": max_depth, "max_cells": max_cells, "n_dirs": n_dirs}
+def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_points=6000, n_dirs=24):
+    kw = {"max_depth": max_depth, "max_points": max_points, "n_dirs": n_dirs}
     hex_est = _reference_region_area(domain, corner_decomposition(domain, T, 0.5).hexagon, tol, **kw)
     V = T.vertices()
     return hex_est, tuple(_reference_run_ladder(domain, V, i, tol, ladder_depth, kw) for i in range(3))
@@ -302,3 +312,56 @@ def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
     hex_est, ladders = ideal_triangle_area_detail(dom, tri)
     assert (hex_est, ladders) == _reference_area_detail(dom, tri)
     assert any(lad.diverged for lad in ladders) == diverged
+
+
+# density points the centroid rule with a budget of 1500 cells evaluated on
+# each capped piece of a corner-offset square (the fan's 4 cells and their
+# children, then 374 refined cells of 16 points)
+CENTROID_RULE_PIECE_POINTS = 6004
+
+
+@pytest.mark.parametrize("rung", [0, 5, 10])
+def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
+    tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + 1e-6))
+    piece = _ladder_piece(tri.vertices(), 0, 0.5 ** (rung + 1), 0.5 ** (rung + 2))
+    rows = []
+    real = measure.densities
+
+    def counting(domain, P, **kw):
+        rows.append(len(P))
+        return real(domain, P, **kw)
+
+    monkeypatch.setattr(measure, "densities", counting)
+    est = region_area(_SQUARE4, piece, tol=1e-3, max_depth=PIECE_MAX_DEPTH, max_points=PIECE_MAX_POINTS,
+                      n_dirs=PIECE_DIRS)
+    points = sum(rows)
+    # the budget stopped refinement: less than one more refined cell was left
+    assert PIECE_MAX_POINTS - 16 * len(_CELL_WEIGHTS) < points <= PIECE_MAX_POINTS
+    assert points <= CENTROID_RULE_PIECE_POINTS
+    assert est.diverged
+
+
+@pytest.mark.parametrize(
+    "dom, ts, vertex, beta",
+    [
+        (unit_disk(), (0.3, 2.4, 4.3), None, 2.0),
+        # the quartic's flat point (1, 0); its other vertices are round
+        (PBall(4.0), (0.0, 2.2, 4.2), 0, 4.0),
+    ],
+    ids=["disk", "pball4-flat-point"],
+)
+def test_ladder_decay_measures_the_boundary_exponent(dom, ts, vertex, beta):
+    # a boundary locally |x|^beta gives increments decaying by 2^-(1 - 1/beta)
+    _, ladders = ideal_triangle_area_detail(dom, make_ideal_triangle(dom, *ts))
+    for lad in ladders if vertex is None else ladders[vertex:vertex + 1]:
+        assert lad.decay_ratio == lad.increments[-1] / lad.increments[-2]
+        assert lad.boundary_exponent == pytest.approx(beta, rel=1e-2)
+        assert lad.decay_ratio == pytest.approx(2.0 ** -(1.0 - 1.0 / beta), rel=1e-2)
+
+
+def test_ladder_exponent_is_nan_without_a_positive_ratio():
+    for increments in ((1.0, 0.5, 0.0), (1.0, 0.0, 0.0), (1.0, 0.5, -0.1)):
+        lad = CornerLadder(partial=0.0, tail=0.0, increments=increments, diverged=False, error=0.0)
+        assert math.isnan(lad.boundary_exponent)
+    corner = CornerLadder(partial=0.0, tail=0.0, increments=(1.0, 1.0, 1.0), diverged=True, error=0.0)
+    assert corner.decay_ratio == 1.0 and corner.boundary_exponent == 1.0
