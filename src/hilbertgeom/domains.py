@@ -250,6 +250,17 @@ class ConvexDomain:
     def to_spec(self) -> dict:
         raise NotImplementedError
 
+    def _unit_ball_areas_exact(self, P):
+        """Areas of the Finsler unit balls at the rows of ``P`` in closed
+        form, NaN on every row not strictly interior; ``None`` on a variant
+        without one, whose balls are integrated over ray-cast directions.
+
+        Every row is computed on its own, elementwise and with sums over
+        edges in edge order (:func:`_dots`, :func:`_edge_sum`), never by a
+        matmul, so its area is the same alone or in any batch.
+        """
+        return None
+
     # ---- shared helpers ---------------------------------------------------------
 
     def gauge1(self, p) -> float:
@@ -426,6 +437,9 @@ class Ellipse(ConvexDomain):
     def bounding_radius(self) -> float:
         return max(self.semi_axes)
 
+    def _unit_ball_areas_exact(self, P):
+        return _klein_ball_areas(self.gauge(P), math.pi * self.semi_axes[0] * self.semi_axes[1])
+
     def ray_hits_both(self, P, V):
         P, U = self._unit_rays(P, V)
         W = (U @ self._rot) * self._inv_axes
@@ -487,6 +501,11 @@ class PBall(ConvexDomain):
 
     def bounding_radius(self) -> float:
         return self.radius * 2.0 ** max(0.0, 0.5 - 1.0 / self.p)
+
+    def _unit_ball_areas_exact(self, P):
+        if self._newton_cast:
+            return None
+        return _klein_ball_areas(self.gauge(P), math.pi * self.radius ** 2)
 
     def ray_hits_both(self, P, V):
         if self._newton_cast:
@@ -611,6 +630,49 @@ class Polygon(ConvexDomain):
         den = _dots(self._edge_normals, U)
         inside = D.max(axis=0) < 0.0
         return _polygon_exits(D, den, inside), _polygon_exits(D, -den, inside)
+
+    def _unit_ball_areas_exact(self, P):
+        """The Finsler unit ball at p is a centrally symmetric polygon.
+
+        With slacks s_i = c_i - n_i.p > 0 and a_i = n_i / s_i, the norm is
+        F(v) = (max_i a_i.v + max_i -a_i.v) / 2, linear between the
+        directions +-b_i normal to the edges a_{i+1} - a_i of conv{a_i}, the
+        polar of the domain about p, whose vertices are the a_i in edge
+        order.  The ball's vertices are b_i / F(b_i): each pair +-b_i is
+        folded to an angle in [0, pi) and sorted, which lists half the
+        vertices q_0 .. q_{k-1} in order, followed by their negations.
+        The area is twice the fan over one half, sum_j cross(q_j, q_{j+1})
+        with q_k = -q_0.  The a_i are scaled by the smallest slack r, to
+        at most unit length, so that nothing overflows near the boundary;
+        the ball then shrinks by r, and its area is rescaled by r^2.
+        """
+        S = -self._slacks(P)
+        r = S.min(axis=0)
+        inside = r > 0.0
+        # outside rows get unit slacks, any finite value: they are NaN below
+        r = np.where(inside, r, 1.0)
+        S[:, ~inside] = 1.0
+        W = r / S
+        ax = self._edge_normals[:, 0, None] * W
+        ay = self._edge_normals[:, 1, None] * W
+        bx = np.roll(ay, -1, axis=0) - ay
+        by = ax - np.roll(ax, -1, axis=0)
+        # a straight angle repeats an a_i exactly: its b is then any
+        # direction, and the ball's boundary point there adds no area
+        bx[(bx == 0.0) & (by == 0.0)] = 1.0
+        D = ax[:, None] * bx + ay[:, None] * by
+        F = 0.5 * (D.max(axis=0) - D.min(axis=0))
+        flip = (by < 0.0) | ((by == 0.0) & (bx < 0.0))
+        qx = np.where(flip, -bx, bx) / F
+        qy = np.where(flip, -by, by) / F
+        # -cos of the folded angle orders [0, pi); correctly rounded
+        # operations only, so a row sorts the same in any batch
+        order = np.argsort(-qx / np.sqrt(qx * qx + qy * qy), axis=0, kind="stable")
+        qx = np.take_along_axis(qx, order, axis=0)
+        qy = np.take_along_axis(qy, order, axis=0)
+        nx = np.concatenate([qx[1:], -qx[:1]])
+        ny = np.concatenate([qy[1:], -qy[:1]])
+        return np.where(inside, _edge_sum(qx * ny - qy * nx) * (r * r), np.nan)
 
     def to_spec(self) -> dict:
         return {"type": "polygon", "vertices": self.vertices.tolist()}
@@ -856,6 +918,15 @@ class ProjectiveImage(ConvexDomain):
             "matrix": self.map.matrix.tolist(),
             "inner": self.inner.to_spec(),
         }
+
+
+def _klein_ball_areas(g: np.ndarray, area: float) -> np.ndarray:
+    """Unit-ball areas of a conic of the given ``area`` at points whose gauge
+    ``g`` is |z|^2 - 1, with z the point in the frame where the conic is the
+    unit disk: the Klein model's ball pi (1 - |z|^2)^(3/2), mapped back.
+    NaN where ``g >= 0``."""
+    s = np.where(g < 0.0, -g, np.nan)
+    return area * (s * np.sqrt(s))
 
 
 def _unit_conic_terms(Z: np.ndarray, W: np.ndarray, A):

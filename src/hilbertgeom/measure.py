@@ -2,12 +2,16 @@
 
 The Hilbert measure has density h(p) = pi / Vol(B(p)) against Lebesgue
 measure, where B(p) is the unit ball of the Finsler norm at p (the constant
-is omega_2 = pi, the planar specialization).  Near the boundary B(p)
-degenerates into a sliver whose aspect ratio blows up, so naive uniform-angle
-quadrature of the polar area integral stalls; every angular integral here is
-therefore taken in an adapted elliptical angle.  The substitution is exact
-whenever the unit ball is an ellipse (so ellipse domains give machine
-accuracy at any direction count) and costs one Jacobian factor otherwise.
+is omega_2 = pi, the planar specialization).  On polygons, ellipses and the
+disk, :func:`densities` takes Vol(B(p)) in closed form: the ball is a
+centrally symmetric polygon, or the Klein model's ellipse.  Every other class
+integrates it over ray-cast directions, as :func:`unit_ball_areas` does on
+all of them.  Near the boundary B(p) degenerates into a sliver whose aspect
+ratio blows up, so naive uniform-angle quadrature of the polar area integral
+stalls; every such angular integral is therefore taken in an adapted
+elliptical angle.  The substitution is exact whenever the unit ball is an
+ellipse (so ellipse domains give machine accuracy at any direction count)
+and costs one Jacobian factor otherwise.
 
 Region integrals sum the density over an adaptively refined triangulation.
 Each cell is valued by Radon's 7-point rule, exact for polynomials of degree
@@ -38,8 +42,9 @@ from .metric import _require_count
 OMEGA_2 = math.pi
 DENSITY_CLIP = 1e30
 _TINY = 1e-300
-# most points per unit-ball batch: each point casts about n_dirs rays, and
-# larger batches only grow the ray arrays without casting faster
+# most points per unit-ball batch: each point casts about n_dirs rays (or,
+# in closed form on a k-gon, takes k^2 products), and larger batches only
+# grow the arrays without computing faster
 _BALL_ROWS = 1024
 # unit-ball directions per density point of a metric-ball quadrature level
 _BALL_DENSITY_DIRS = 64
@@ -148,13 +153,15 @@ def unit_ball_areas(
     warp: bool = True,
     validate: bool = True,
 ) -> np.ndarray:
-    """Areas of the Finsler unit balls at the given interior points.
+    """Areas of the Finsler unit balls at the given interior points, by ray
+    quadrature on every domain class.
 
     Composite Simpson on the polar area integral (1/2) * integral of r^2
     over the angle, taken in the adapted elliptical angle.  In the adapted
     parameterization the integrand is a*b / F(p, u(psi))^2 with u the
     unnormalized warped direction, constant whenever the ball is the frame
-    ellipse itself.
+    ellipse itself.  :func:`densities` takes the closed form instead where a
+    class has one; this quadrature stays the reference it is tested against.
 
     The Finsler ball is centrally symmetric: u(psi + pi) = -u(psi), and the
     integrand there is the same value with the two chord hits swapped.  So
@@ -163,22 +170,38 @@ def unit_ball_areas(
     of both psi and psi + pi.  An odd ``n_dirs`` is rounded up to the next
     even count.
 
-    Points are processed in chunks of at most ``_BALL_ROWS``, which bounds
-    the (points x directions) ray arrays; every point's area is computed on
-    its own row, so chunking does not change it.
+    With ``validate`` a point not strictly interior raises
+    ``PointNotInterior``; without, its area is NaN.  Points are processed in
+    chunks of at most ``_BALL_ROWS``, which bounds the (points x directions)
+    ray arrays; every point's area is computed on its own row, so chunking
+    does not change it.
     """
+    P, n_dirs = _ball_points(domain, P, n_dirs, validate)
+    return _by_chunks(lambda Q: _unit_ball_areas(domain, Q, n_dirs, warp), P)
+
+
+def _ball_points(domain: ConvexDomain, P, n_dirs: int, validate: bool):
+    """The checked points and the even direction count of a unit-ball call."""
     P = as_points(P)
     if n_dirs < 16:
         raise ValueError("need at least 16 directions")
-    if n_dirs % 2:
-        n_dirs += 1
     if validate and not np.all(domain.gauge(P) < 0.0):
         raise PointNotInterior("point not interior")
-    chunks = range(0, max(len(P), 1), _BALL_ROWS)
-    return np.concatenate([_unit_ball_areas(domain, P[i:i + _BALL_ROWS], n_dirs, warp) for i in chunks])
+    return P, n_dirs + n_dirs % 2
+
+
+def _by_chunks(f, P: np.ndarray) -> np.ndarray:
+    """``f`` of each run of at most ``_BALL_ROWS`` rows of ``P``, concatenated."""
+    return np.concatenate([f(P[i:i + _BALL_ROWS]) for i in range(0, max(len(P), 1), _BALL_ROWS)])
 
 
 def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: bool) -> np.ndarray:
+    inside = domain.gauge(P) < 0.0
+    if not inside.all():
+        # a start not strictly interior has no chords to frame its ball
+        areas = np.full(len(P), np.nan)
+        areas[inside] = _unit_ball_areas(domain, P[inside], n_dirs, warp)
+        return areas
     m = len(P)
     half = n_dirs // 2
     tau, nin, a, b = ball_frames(domain, P, warp=warp)
@@ -211,10 +234,26 @@ def densities(
     warp: bool = True,
     validate: bool = True,
 ) -> np.ndarray:
-    """Hilbert measure density pi / Vol(B(p)) per point, clipped at 1e30."""
-    areas = unit_ball_areas(domain, P, n_dirs=n_dirs, warp=warp, validate=validate)
+    """Hilbert measure density pi / Vol(B(p)) per point, clipped at 1e30.
+
+    With ``warp`` the unit-ball areas are exact on polygons, ellipses and the
+    disk ``PBall(2)`` (``ConvexDomain._unit_ball_areas_exact``) and the
+    :func:`unit_ball_areas` quadrature at ``n_dirs`` directions on every
+    other class; without, every class takes the unwarped quadrature, which
+    keeps grids matched across domains.  With ``validate`` a point not
+    strictly interior raises ``PointNotInterior``; without, its density is
+    NaN.  Every row is computed on its own, so a point's density is the same
+    alone or in any batch.
+    """
+    P, n_dirs = _ball_points(domain, P, n_dirs, validate)
+
+    def areas(Q):
+        exact = domain._unit_ball_areas_exact(Q) if warp else None
+        return _unit_ball_areas(domain, Q, n_dirs, warp) if exact is None else exact
+
+    h = _by_chunks(areas, P)
     with np.errstate(divide="ignore", over="ignore"):
-        h = np.divide(OMEGA_2, np.maximum(areas, 0.0, out=areas), out=areas)
+        np.divide(OMEGA_2, np.maximum(h, 0.0, out=h), out=h)
     return np.minimum(h, DENSITY_CLIP, out=h)
 
 

@@ -26,7 +26,7 @@ from .metric import _require_count
 LADDER_DEPTH = 12
 # refinement of each hexagon and ladder piece (7-point cells, see
 # measure.region_area): depth cap, budget of density points and unit-ball
-# directions per density point
+# directions per density point on the classes without a closed-form ball
 PIECE_MAX_DEPTH = 9
 PIECE_MAX_POINTS = 6000
 PIECE_DIRS = 24

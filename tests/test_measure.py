@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertgeom._malloc import pin_malloc_thresholds
-from hilbertgeom.domains import PBall, Polygon, SmoothedPolygon, regular_polygon, unit_disk
+from hilbertgeom.domains import (
+    Ellipse,
+    PBall,
+    Polygon,
+    PowerCap,
+    ProjectiveImage,
+    ProjectiveMap,
+    SmoothedPolygon,
+    regular_polygon,
+    unit_disk,
+)
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     _CELL_NODES,
@@ -66,6 +76,111 @@ def test_density_positive_finite(p, x, y):
 def test_unit_ball_area_disk_center():
     # Finsler unit ball at the disk center is the Euclidean unit disk
     assert unit_ball_area(unit_disk(), (0.0, 0.0)) == pytest.approx(math.pi, rel=1e-12)
+
+
+def _points_with_gaps(domain, n, seed):
+    """n interior points: half at random fractions of the way from the anchor
+    to the boundary, half with boundary gaps from 1e-6 to 1 of that way."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    c = domain.interior_point()
+    reach = domain.ray_hits(np.repeat(c[None], n, axis=0), U)
+    frac = np.concatenate([rng.random(n // 2), 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n - n // 2)])
+    return c + (frac * reach)[:, None] * U
+
+
+_EXACT_POLYGONS = {
+    "triangle": regular_polygon(3),
+    "square": regular_polygon(4),
+    "quadrilateral": Polygon([[0.0, -1.0], [1.2, 0.1], [0.1, 0.9], [-0.7, 0.2]]),
+    "heptagon": regular_polygon(7, phase=0.3),
+    "16-gon": regular_polygon(16),
+    # (1, 0) is a straight angle: two edges with one normal and one offset
+    "straight-angle": Polygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
+}
+_EXACT_CONICS = {
+    "disk": unit_disk(),
+    "scaled-disk": PBall(2.0, center=(0.3, -0.2), scale=1.7),
+    "ellipse": Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_POLYGONS))
+def test_polygon_unit_balls_match_the_ray_quadrature(name):
+    # a polygon's ball is a polygon: the Simpson rule converges to it at
+    # second order through the kinks, to about 6.5e-7 at 4096 directions
+    dom = _EXACT_POLYGONS[name]
+    P = _points_with_gaps(dom, 40, 7)
+    exact = dom._unit_ball_areas_exact(P)
+    assert np.all(np.abs(exact - unit_ball_areas(dom, P, n_dirs=4096)) <= 1e-6 * exact)
+
+
+@pytest.mark.parametrize("name", list(_EXACT_CONICS))
+def test_conic_unit_balls_match_the_ray_quadrature(name):
+    # the adapted angle integrates a conic's elliptical ball to rounding
+    dom = _EXACT_CONICS[name]
+    P = _points_with_gaps(dom, 40, 8)
+    exact = dom._unit_ball_areas_exact(P)
+    assert np.all(np.abs(exact - unit_ball_areas(dom, P, n_dirs=64)) <= 1e-9 * exact)
+
+
+@pytest.mark.parametrize("dom", [PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1), PowerCap(2.0),
+                                 ProjectiveImage(unit_disk(), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0],
+                                                                              [0.2, 0.0, 1.0]]))],
+                         ids=["pball4", "smoothed", "power-cap", "projective-disk"])
+def test_other_classes_take_densities_from_rays(dom):
+    P = 0.3 * np.array([[0.1, 0.2], [-0.3, 0.1]]) + dom.interior_point()
+    assert dom._unit_ball_areas_exact(P) is None
+    assert np.array_equal(densities(dom, P, n_dirs=24), math.pi / unit_ball_areas(dom, P, n_dirs=24))
+
+
+@pytest.mark.parametrize("name", ["square", "heptagon", "16-gon", "disk", "ellipse"])
+def test_exact_densities_do_not_depend_on_the_batch(name):
+    # 2000 rows span two _BALL_ROWS chunks; each row alone gives the same bits
+    dom = {**_EXACT_POLYGONS, **_EXACT_CONICS}[name]
+    P = _points_with_gaps(dom, 2000, 9)
+    whole = densities(dom, P)
+    assert np.array_equal(whole, np.concatenate([densities(dom, p[None]) for p in P]))
+
+
+@pytest.mark.parametrize("dom", [regular_polygon(4), unit_disk(), Ellipse(semi_axes=(1.3, 0.8), rotation=0.3),
+                                 PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1)],
+                         ids=["square", "disk", "ellipse", "pball4", "smoothed"])
+@pytest.mark.parametrize("warp", [True, False])
+def test_points_not_interior_get_nan(dom, warp):
+    # outside, on the boundary (the first point along a ray from the anchor
+    # with gauge >= 0) and far off; the interior rows keep their values
+    c = dom.interior_point()
+    B = dom.boundary_points(np.array([0.0]))[0]
+    while dom.gauge1(B) < 0.0:
+        B = np.nextafter(B, B + (B - c))
+    P = np.array([c + 1.5 * (B - c), B, c + 0.5 * (B - c), c + [40.0, -30.0], c])
+    h = densities(dom, P, n_dirs=24, warp=warp, validate=False)
+    areas = unit_ball_areas(dom, P, n_dirs=24, warp=warp, validate=False)
+    for got in (h, areas):
+        assert np.all(np.isnan(got[[0, 1, 3]]))
+    assert np.array_equal(h[[2, 4]], densities(dom, P[[2, 4]], n_dirs=24, warp=warp))
+    assert np.array_equal(areas[[2, 4]], unit_ball_areas(dom, P[[2, 4]], n_dirs=24, warp=warp))
+    with pytest.raises(PointNotInterior):
+        densities(dom, P, n_dirs=24, warp=warp)
+    with pytest.raises(PointNotInterior):
+        unit_ball_areas(dom, P, n_dirs=24, warp=warp)
+
+
+@pytest.mark.parametrize("inner, tol", [(unit_disk(), 1e-9), (regular_polygon(4), 1e-5)], ids=["disk", "square"])
+def test_projective_unit_balls_scale_by_the_jacobian(inner, tol):
+    # H maps the ball at x onto the ball at H(x), so areas scale by
+    # |det DH(x)| = |det M| / |w(x)|^3; the image stays on rays, which at
+    # 2048 directions agree to 6.4e-11 on the disk (rounding, largest at the
+    # gaps of 1e-6) and 2.9e-6 on the square
+    M = np.array([[1.0, 0.2, 0.1], [-0.1, 0.9, 0.0], [0.3, -0.2, 1.0]])
+    image = ProjectiveImage(inner, ProjectiveMap(M))
+    X = _points_with_gaps(inner, 40, 10)
+    w = X @ M[2, :2] + M[2, 2]
+    expected = inner._unit_ball_areas_exact(X) * abs(np.linalg.det(M)) / np.abs(w) ** 3
+    got = unit_ball_areas(image, image.map.apply_many(X), n_dirs=2048)
+    assert np.all(np.abs(got - expected) <= tol * expected)
 
 
 def test_klein_ball_areas_closed_form():

@@ -16,7 +16,7 @@ from hilbertgeom.domains import (
     unit_disk,
 )
 from hilbertgeom.errors import DegenerateVertices, InvalidTriangle
-from hilbertgeom import measure
+from hilbertgeom import measure, triangles
 from hilbertgeom.measure import (
     _CELL_NODES,
     _CELL_WEIGHTS,
@@ -43,9 +43,10 @@ from hilbertgeom.triangles import (
     sup_area_search,
 )
 
-# frozen quadrature outputs for the default settings (7-point cell rule)
+# frozen quadrature outputs for the default settings (7-point cell rule,
+# closed-form densities on the disk and the square)
 DISK_SYMMETRIC_AREA = 3.1415336861668735
-SQUARE_EDGE_TRIPLE_AREA = 1.6174277271190185
+SQUARE_EDGE_TRIPLE_AREA = 1.6152329604173248
 DISK_SUP_BUDGET2_SEED0 = 3.141528252494939
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -89,6 +90,24 @@ def test_square_edge_midpoint_triple_converges():
     est = ideal_triangle_area(square, tri)
     assert not est.diverged
     assert est.value == pytest.approx(SQUARE_EDGE_TRIPLE_AREA, rel=1e-9)
+
+
+# square triangle areas from a deep run: PIECE_MAX_POINTS 60 000, tol 1e-5,
+# 16 ladder rungs
+SQUARE_DEEP_AREAS = {(0.125, 0.375, 0.625): 1.6152345197029205, (0.05, 0.38, 0.71): 2.640719467171726}
+
+
+@pytest.mark.parametrize("ts", list(SQUARE_DEEP_AREAS))
+def test_square_error_bound_covers_its_error(monkeypatch, ts):
+    # with densities from 24 ray-cast directions, off by up to 4.2% per
+    # point, the default estimates missed these by about 5 error bounds
+    square = Polygon(SQUARE)
+    tri = make_ideal_triangle(square, *ts)
+    est = ideal_triangle_area(square, tri)
+    assert abs(est.value - SQUARE_DEEP_AREAS[ts]) <= est.error_bound
+    monkeypatch.setattr(triangles, "PIECE_MAX_POINTS", 60000)
+    deep = ideal_triangle_area(square, tri, tol=1e-5, ladder_depth=16)
+    assert abs(deep.value - SQUARE_DEEP_AREAS[ts]) <= 1e-9 * deep.value
 
 
 def test_corner_decomposition_geometry():
