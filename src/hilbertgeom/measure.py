@@ -20,10 +20,11 @@ smooth.  Each round refines the unsettled cells in order of descending
 error, ties in creation order, so results are reproducible; cells that keep
 growing at the depth cap or the point budget flag the estimate as diverged,
 in which case the value is a lower bound only.
-Each region's refinement is a generator that asks for the densities at its
-cells' rule nodes, so many regions can be refined in lock step with one
-density batch per round (the pieces of an ideal triangle are); densities are
-computed row by row, so a region's estimate is the same alone or batched.
+Many regions are refined as one flat array of cells, region-major, with one
+density batch per round for every region still refining (the pieces of an
+ideal triangle are); densities are computed row by row and each region's
+sums run over its own cells, so a region's estimate is the same alone or
+batched.
 Metric balls are integrated in polar shells about their centre
 (:func:`ball_area`), each level checked by error estimates from its own nodes.
 """
@@ -114,8 +115,17 @@ def ball_frames(domain: ConvexDomain, P, warp: bool = True):
     are the unit-ball radii along the two axes.  With ``warp=False`` the frame is the standard
     basis with unit half-widths, which reduces every consumer to plain
     uniform-angle quadrature (used for grid-matched comparisons).
+    Every point must be strictly interior, else ``PointNotInterior`` is
+    raised: a point on or outside the boundary has no chords to frame it.
     """
     P = as_points(P)
+    if not np.all(domain.gauge(P) < 0.0):
+        raise PointNotInterior("point not interior")
+    return _ball_frames(domain, P, warp)
+
+
+def _ball_frames(domain: ConvexDomain, P: np.ndarray, warp: bool):
+    """:func:`ball_frames` of points already checked to be interior."""
     m = len(P)
     if not warp:
         tau = np.tile(np.array([1.0, 0.0]), (m, 1))
@@ -204,7 +214,7 @@ def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: boo
         return areas
     m = len(P)
     half = n_dirs // 2
-    tau, nin, a, b = ball_frames(domain, P, warp=warp)
+    tau, nin, a, b = _ball_frames(domain, P, warp)
     psi = np.arange(half) * (2.0 * np.pi / n_dirs)
     cs, sn = np.cos(psi), np.sin(psi)
     # warped directions u[i, k] = a_i cos(psi_k) tau_i + b_i sin(psi_k) n_i
@@ -216,7 +226,9 @@ def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: boo
     tp, tm = domain.ray_hits_both(Pr, U)
     speed = np.hypot(U[:, 0], U[:, 1])
     F = 0.5 * speed * (1.0 / np.maximum(tp, _TINY) + 1.0 / np.maximum(tm, _TINY))
-    integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, half) ** 2)
+    with np.errstate(over="ignore"):
+        # within rounding of the boundary, directions whose F**2 overflows add 0
+        integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, half) ** 2)
     w = _simpson_weights(n_dirs)
     # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
     # place in the batch
@@ -284,31 +296,65 @@ def _split4(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_region(domain: ConvexDomain, V: np.ndarray) -> None:
-    sc = domain.scale()
-    if np.any(domain.gauge(V) > 1e-7 * sc):
+def _validate_region(domain: ConvexDomain, V: np.ndarray, counts=None) -> tuple:
+    """Check the regions that are the runs of ``counts`` rows of ``V`` (one
+    if None); the first bad one raises ``RegionOutsideDomain`` for a vertex
+    outside the closed domain, else ``ValueError`` if it turns both ways.
+    Returns each vertex's region and the index of its successor."""
+    counts = np.array([len(V)] if counts is None else counts, dtype=int)
+    vreg = np.repeat(np.arange(len(counts)), counts)
+    ends = np.cumsum(counts)[counts > 0]
+    nxt = np.arange(1, len(V) + 1)
+    nxt[ends - 1] = ends - counts[counts > 0]
+    outside = np.bincount(vreg, domain.gauge(V) > 1e-7 * domain.scale(), len(counts)) > 0
+    E = V[nxt] - V
+    cross = E[:, 0] * E[nxt, 1] - E[:, 1] * E[nxt, 0]
+    s = np.zeros(len(counts))
+    np.maximum.at(s, vreg, np.hypot(E[:, 0], E[:, 1]))
+    bound = 1e-9 * s[vreg] ** 2
+    # one or two vertices have cross products of exactly 0
+    left, right = (np.bincount(vreg, side, len(counts)) > 0 for side in (cross > bound, cross < -bound))
+    bad = np.flatnonzero(outside | (left & right))
+    if len(bad) and outside[bad[0]]:
         raise RegionOutsideDomain("region vertex outside the closed domain")
-    if len(V) >= 3:
-        E = np.roll(V, -1, axis=0) - V
-        cross = E[:, 0] * np.roll(E, -1, axis=0)[:, 1] - E[:, 1] * np.roll(E, -1, axis=0)[:, 0]
-        s = float(np.max(np.hypot(E[:, 0], E[:, 1]))) ** 2
-        if np.any(cross > 1e-9 * s) and np.any(cross < -1e-9 * s):
-            raise ValueError("region polygon must be convex")
+    if len(bad):
+        raise ValueError("region polygon must be convex")
+    return vreg, nxt
 
 
-def _fan(domain: ConvexDomain, region) -> np.ndarray:
-    """Fan triangulation (n, 3, 2) of a checked convex region about its
-    vertex centroid, without degenerate triangles.
-
-    An empty region has no triangles; a region of one or two vertices is
-    checked like any other and has only degenerate ones.
+def _fan_cells(domain: ConvexDomain, V: np.ndarray, counts) -> tuple:
+    """Fan triangulation of each checked convex region about its vertex
+    centroid, without degenerate triangles: the cells (n, 3, 2) and the
+    region of each, region-major.  A region of at most two vertices has none.
     """
-    if np.size(region) == 0:
-        return np.empty((0, 3, 2))
-    V = as_points(region)
-    _validate_region(domain, V)
-    tris = np.stack([np.repeat(V.mean(axis=0)[None, :], len(V), axis=0), V, np.roll(V, -1, axis=0)], axis=1)
-    return tris[_tri_areas(tris) > 1e-16 * (1.0 + domain.scale()) ** 2]
+    counts = np.asarray(counts, dtype=int)
+    vreg, nxt = _validate_region(domain, V, counts)
+    first = np.cumsum(counts) - counts
+    centroid = np.empty((len(counts), 2))
+    # a set, not np.unique, which imports numpy.ma; a mean over a gathered
+    # axis rounds as each region's own V.mean(axis=0) does, np.add.reduceat not
+    for k in set(counts[counts > 0].tolist()):
+        of_k = np.flatnonzero(counts == k)
+        centroid[of_k] = V[first[of_k, None] + np.arange(k)].mean(axis=1)
+    tri = np.stack([centroid[vreg], V, V[nxt]], axis=1)
+    keep = _tri_areas(tri) > 1e-16 * (1.0 + domain.scale()) ** 2
+    return tri[keep], vreg[keep]
+
+
+def _cell_nodes(tri: np.ndarray) -> np.ndarray:
+    """The rule nodes of each (3, 2) cell, shape (7 n, 2), summed as
+    ``np.einsum("kv,nvd->nkd", _CELL_NODES, tri)`` does, at a fifth of its cost."""
+    T = np.ascontiguousarray(tri.transpose(1, 0, 2)).reshape(3, -1)
+    X = _CELL_NODES[:, 0, None] * T[0] + _CELL_NODES[:, 1, None] * T[1] + _CELL_NODES[:, 2, None] * T[2]
+    return X.reshape(_CELL_POINTS, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
+
+
+def _cell_values(tri: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The 7-point rule value of each (3, 2) cell from the densities ``h`` at
+    its :func:`_cell_nodes`, shape (n,)."""
+    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
+    # place in the batch
+    return _tri_areas(tri) * np.einsum("ij,j->i", h.reshape(-1, _CELL_POINTS), _CELL_WEIGHTS)
 
 
 def region_area(
@@ -334,98 +380,72 @@ def region_area(
     than a factor 1 + tol, the estimate is marked diverged.
     An empty region has measure 0.
 
-    This drives one region through the same refinement loop that
-    :func:`_region_areas` runs for many regions at once, so a region's
-    estimate does not depend on which other regions share its rounds.
+    A region's estimate does not depend on which other regions share its
+    rounds (:func:`_region_areas`).
     """
-    return _region_areas(domain, [region], tol, max_depth, max_points, n_dirs)[0]
+    V = np.empty((0, 2)) if np.size(region) == 0 else as_points(region)
+    return _region_areas(domain, V, [len(V)], tol, max_depth, max_points, n_dirs)[0]
 
 
-def _region_areas(domain: ConvexDomain, regions, tol: float, max_depth: int, max_points: int, n_dirs: int) -> list:
-    """:func:`region_area` of each region, all refined together.
+def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_depth: int, max_points: int,
+                  n_dirs: int) -> list:
+    """:func:`region_area` of each region given as ``counts[i]`` consecutive
+    vertex rows of ``V``, all refined in one flat cell array.
 
-    Every region keeps its own cells, refinement order, depth cap, point
-    budget and divergence test; each round makes one :func:`densities` call
-    holding the rule nodes of every region still refining and splits the
-    densities back.  Densities are computed row by row, so each estimate
-    equals the one ``region_area`` gives for its region alone.
+    Cells are kept region-major, each region's in creation order: refined
+    cells are dropped and their children appended.  The fan cells and their
+    children take one :func:`densities` call, and each round one more for
+    all regions still refining.  A round picks each region's cells by one
+    lexsort over (region, -error, position), cut to the region's own budget;
+    a region that picks none is finished and leaves the array.  A region's
+    total and error are sums over its own slice, so with densities computed
+    row by row its estimate equals the one it gets alone.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    quads = [_region_quadrature(domain, r, tol, max_depth, max_points) for r in regions]
-    results = [None] * len(quads)
-    wanted = {}
-    for i, quad in enumerate(quads):
-        try:
-            wanted[i] = next(quad)
-        except StopIteration as stop:
-            results[i] = stop.value
-    while wanted:
-        keys = list(wanted)
-        points = [wanted[i] for i in keys]
-        h = densities(domain, np.concatenate(points), n_dirs=n_dirs, validate=False)
-        cuts = np.cumsum([len(x) for x in points])[:-1]
-        for i, h_i in zip(keys, np.split(h, cuts)):
-            try:
-                wanted[i] = quads[i].send(h_i)
-            except StopIteration as stop:
-                del wanted[i]
-                results[i] = stop.value
-    return results
-
-
-def _cell_values(tri: np.ndarray):
-    """Generator step: the 7-point rule value of each (3, 2) cell, shape
-    (n,), from the densities at its nodes."""
-    h = yield np.einsum("kv,nvd->nkd", _CELL_NODES, tri).reshape(-1, 2)
-    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
-    # place in the batch
-    return _tri_areas(tri) * np.einsum("ij,j->i", h.reshape(-1, _CELL_POINTS), _CELL_WEIGHTS)
-
-
-def _kid_values(tri: np.ndarray):
-    """Generator step: the values of each cell's four children, shape (n, 4)."""
-    return (yield from _cell_values(_split4(tri).reshape(-1, 3, 2))).reshape(-1, 4)
-
-
-def _region_quadrature(domain, region, tol, max_depth, max_points):
-    """Adaptive quadrature of one region as a generator.
-
-    Yields the rule nodes whose densities it needs next, receives those
-    densities, and returns the region's :class:`QuadratureEstimate`.  The
-    cells are kept in creation order: refined cells are dropped and their
-    children appended, so a stable sort by error breaks ties by age.
-    """
-    tri = _fan(domain, region)
+    tri, reg = _fan_cells(domain, V, counts)
+    results = [QuadratureEstimate(0.0, 0.0, 0, False)] * len(counts)
     if len(tri) == 0:
-        return QuadratureEstimate(0.0, 0.0, 0, False)
-    own = yield from _cell_values(tri)
-    kids = yield from _kid_values(tri)
+        return results
+    both = np.concatenate([tri, _split4(tri).reshape(-1, 3, 2)])
+    values = _cell_values(both, densities(domain, _cell_nodes(both), n_dirs=n_dirs, validate=False))
+    own, kids = values[:len(tri)], values[len(tri):].reshape(-1, 4)
     depth = np.zeros(len(tri), dtype=int)
-    budget_left = max_points - 5 * _CELL_POINTS * len(tri)
-    total_prev = math.inf
+    budget_left = max_points - 5 * _CELL_POINTS * np.bincount(reg, minlength=len(counts))
+    total_prev = np.full(len(counts), math.inf)
     while True:
+        starts = np.flatnonzero(np.diff(reg, prepend=-1))
+        sizes = np.diff(starts, append=len(reg))
+        ids = reg[starts]
         fine = kids.sum(axis=1)
         err = np.abs(fine - own)
-        total = float(fine.sum())
-        settled = err <= tol * np.maximum(fine, 0.0) + 1e-15 * max(1.0, abs(total))
+        total = np.array([fine[a:a + n].sum() for a, n in zip(starts.tolist(), sizes.tolist())])
+        settled = err <= tol * np.maximum(fine, 0.0) + np.repeat(1e-15 * np.fmax(1.0, np.abs(total)), sizes)
         idx = np.flatnonzero(~settled & (depth < max_depth))
-        idx = idx[np.argsort(-err[idx], kind="stable")][: max(budget_left // _REFINE_POINTS, 0)]
+        idx = idx[np.lexsort((idx, -err[idx], reg[idx]))]
+        rank = np.arange(len(idx)) - np.searchsorted(reg[idx], reg[idx])
+        idx = idx[rank < budget_left[reg[idx]] // _REFINE_POINTS]
+        picked = np.bincount(reg[idx], minlength=len(counts))[ids]
+        # refinement stops with unsettled cells only at the depth cap or the point budget
+        diverged = (np.bincount(reg, ~settled, len(counts))[ids] > 0) & (total > total_prev[ids] * (1.0 + tol))
+        deepest = np.maximum.reduceat(depth, starts)
+        for j in np.flatnonzero(picked == 0):
+            results[ids[j]] = QuadratureEstimate(float(total[j]), float(err[starts[j]:starts[j] + sizes[j]].sum()),
+                                                 int(deepest[j]), bool(diverged[j]))
         if len(idx) == 0:
             break
-        budget_left -= _REFINE_POINTS * len(idx)
-        children = _split4(tri[idx]).reshape(-1, 3, 2)
-        child_kids = yield from _kid_values(children)
-        keep = np.ones(len(tri), dtype=bool)
+        budget_left[ids] -= _REFINE_POINTS * picked
+        total_prev[ids] = total
+        keep = np.repeat(picked > 0, sizes)
         keep[idx] = False
-        tri = np.concatenate([tri[keep], children])
-        depth = np.concatenate([depth[keep], np.repeat(depth[idx] + 1, 4)])
-        own = np.concatenate([own[keep], kids[idx].reshape(-1)])
-        kids = np.concatenate([kids[keep], child_kids])
-        total_prev = total
-    # refinement stops with unsettled cells only at the depth cap or the point budget
-    diverged = bool(np.any(~settled)) and total > total_prev * (1.0 + tol)
-    return QuadratureEstimate(value=total, error_bound=float(err.sum()), depth=int(depth.max()), diverged=diverged)
+        children = _split4(tri[idx]).reshape(-1, 3, 2)
+        grand = _split4(children).reshape(-1, 3, 2)
+        child_kids = _cell_values(grand, densities(domain, _cell_nodes(grand), n_dirs=n_dirs, validate=False))
+        new = (reg[idx].repeat(4), children, depth[idx].repeat(4) + 1, kids[idx].ravel(), child_kids.reshape(-1, 4))
+        cells = [np.concatenate([old[keep], added]) for old, added in zip((reg, tri, depth, own, kids), new)]
+        order = np.argsort(cells[0], kind="stable")
+        reg, tri, depth, own, kids = (x[order] for x in cells)
+    return results
 
 
 def _grid_area(domain: ConvexDomain, region) -> float:
@@ -435,7 +455,8 @@ def _grid_area(domain: ConvexDomain, region) -> float:
     Nested-domain comparisons need grids that match across domains, which
     adaptive refinement does not give.
     """
-    tri = _fan(domain, region)
+    V = np.empty((0, 2)) if np.size(region) == 0 else as_points(region)
+    tri, _ = _fan_cells(domain, V, [len(V)])
     for _ in range(3):
         tri = _split4(tri).reshape(-1, 3, 2)
     h = densities(domain, tri.mean(axis=1), n_dirs=32, warp=False, validate=False)
@@ -470,7 +491,7 @@ def chord_parameter_at_distance(t_plus, t_minus, rho):
 def _frame_chords(domain: ConvexDomain, q: np.ndarray, n: int):
     """Unit directions about q at n adapted-frame angles psi, their chord
     hits, and the elliptical-angle Jacobian d(theta)/d(psi)."""
-    tau, nin, a, b = ball_frames(domain, q[None, :], warp=True)
+    tau, nin, a, b = _ball_frames(domain, q[None, :], True)
     psi = np.arange(n) * (2.0 * np.pi / n)
     cs, sn = np.cos(psi), np.sin(psi)
     U = (a[0] * cs)[:, None] * tau[0][None, :] + (b[0] * sn)[:, None] * nin[0][None, :]

@@ -144,12 +144,14 @@ def corner_decomposition(domain: ConvexDomain, T: IdealTriangle, s: float) -> Co
     return CornerDecomposition(corners=tuple(corners), hexagon=hexagon, cut_fraction=s)
 
 
-def _ladder_piece(V: np.ndarray, i: int, s_out: float, s_in: float) -> np.ndarray:
-    """Trapezoid between the cuts at fractions s_out > s_in toward vertex i."""
+def _ladder_piece(V: np.ndarray, i, s_out, s_in) -> np.ndarray:
+    """Trapezoid (4, 2) between the cuts at fractions s_out > s_in toward
+    vertex i; for arrays ``i``, ``s_out`` and ``s_in``, one trapezoid per
+    element of their broadcast, shape (..., 4, 2)."""
+    i = np.asarray(i)
     a, b, c = V[i], V[(i + 1) % 3], V[(i + 2) % 3]
-    return np.stack(
-        [a + s_out * (b - a), a + s_in * (b - a), a + s_in * (c - a), a + s_out * (c - a)]
-    )
+    s_out, s_in = np.asarray(s_out)[..., None], np.asarray(s_in)[..., None]
+    return np.stack([a + s_out * (b - a), a + s_in * (b - a), a + s_in * (c - a), a + s_out * (c - a)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -222,21 +224,24 @@ def ideal_triangle_area_detail(
 
     Corner ladder i cuts at side fractions 2^-1 ... 2^-ladder_depth toward
     vertex i, so it has ``ladder_depth - 1`` trapezoids; its tail test needs
-    three of them, so ``ladder_depth`` must be at least 4.  The hexagon and
-    every trapezoid are refined together, one density batch per round
-    (:func:`measure._region_areas`); each piece's estimate equals its own
-    ``region_area`` call with the ``PIECE_*`` settings.
+    three of them, so ``ladder_depth`` must be at least 4.  The trapezoids
+    of all three ladders are built in one broadcast over the fractions, and
+    the hexagon and every trapezoid are refined as one cell array, one
+    density batch per round (:func:`measure._region_areas`); each piece's
+    estimate equals its own ``region_area`` call with the ``PIECE_*``
+    settings.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
     if ladder_depth < 4:
         raise ValueError("ladder_depth must be at least 4")
-    V = T.vertices()
     fractions = 0.5 ** np.arange(1, ladder_depth + 1)
     rungs = ladder_depth - 1
-    pieces = [corner_decomposition(domain, T, 0.5).hexagon]
-    pieces += [_ladder_piece(V, i, fractions[k], fractions[k + 1]) for i in range(3) for k in range(rungs)]
-    estimates = _region_areas(domain, pieces, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS, PIECE_DIRS)
+    hexagon = corner_decomposition(domain, T, 0.5).hexagon
+    pieces = _ladder_piece(T.vertices(), np.arange(3)[:, None], fractions[:-1], fractions[1:])
+    V = np.concatenate([hexagon, pieces.reshape(-1, 2)])
+    estimates = _region_areas(domain, V, [len(hexagon)] + [4] * 3 * rungs, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS,
+                              PIECE_DIRS)
     ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
     return estimates[0], ladders
 

@@ -1,5 +1,6 @@
 import math
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from hilbertgeom.domains import (
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     _CELL_NODES,
+    DENSITY_CLIP,
     _PROBE_DIRS,
     QuadratureEstimate,
     _ball_level,
+    _cell_nodes,
     _cell_values,
     _grid_area,
     _harmonic_halfwidth,
@@ -245,11 +248,8 @@ def test_ball_area_stops_once_its_estimate_stops_falling():
 
 
 def _cell_rule(T, f):
-    quad = _cell_values(T[None])
-    X = next(quad)
-    with pytest.raises(StopIteration) as stop:
-        quad.send(f(X[:, 0], X[:, 1]))
-    return stop.value.value[0]
+    X = _cell_nodes(T[None])
+    return _cell_values(T[None], f(X[:, 0], X[:, 1]))[0]
 
 
 def _collapsed_gauss(T, f):
@@ -391,6 +391,36 @@ def test_probe_chords_equal_eight_lone_casts(equivalence_domains):
     for name, (dom, P, _) in equivalence_domains.items():
         for got, ref in zip(ball_frames(dom, P), _lone_cast_frames(dom, P)):
             assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("warp", [True, False])
+def test_ball_frames_reject_points_not_interior(warp):
+    square = regular_polygon(4)
+    for P in ([[1.5, 0.0]], [[0.0, 0.0], [1.5, 0.0]], square.boundary_points([0.1])):
+        with pytest.raises(PointNotInterior):
+            ball_frames(square, P, warp=warp)
+
+
+def test_density_within_rounding_of_the_boundary_takes_no_warning():
+    # interior by its gauge, yet F**2 overflows in the directions along the
+    # edge: they add 0 to the area, with no RuntimeWarning
+    dom = SmoothedPolygon(regular_polygon(4).vertices, 0.1)
+    B = dom.boundary_points([0.0])
+    assert dom.gauge(B)[0] < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        area = unit_ball_areas(dom, B)[0]
+        h = densities(dom, B)[0]
+    assert 0.0 <= area < 1e-20
+    assert h == min(math.pi / area, DENSITY_CLIP)
+
+
+def test_cell_nodes_equal_the_einsum():
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e3):
+        T = scale * rng.normal(size=(500, 3, 2)) + rng.normal(size=2)
+        ref = np.einsum("kv,nvd->nkd", _CELL_NODES, T).reshape(-1, 2)
+        np.testing.assert_array_equal(_cell_nodes(T), ref)
 
 
 @pytest.mark.parametrize("dom", [unit_disk(), PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1)],

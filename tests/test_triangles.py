@@ -15,7 +15,7 @@ from hilbertgeom.domains import (
     regular_polygon,
     unit_disk,
 )
-from hilbertgeom.errors import DegenerateVertices, InvalidTriangle
+from hilbertgeom.errors import DegenerateVertices, InvalidTriangle, RegionOutsideDomain
 from hilbertgeom import measure, triangles
 from hilbertgeom.measure import (
     _CELL_NODES,
@@ -339,10 +339,7 @@ def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
 CENTROID_RULE_PIECE_POINTS = 6004
 
 
-@pytest.mark.parametrize("rung", [0, 5, 10])
-def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
-    tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + 1e-6))
-    piece = _ladder_piece(tri.vertices(), 0, 0.5 ** (rung + 1), 0.5 ** (rung + 2))
+def _counting_densities(monkeypatch):
     rows = []
     real = measure.densities
 
@@ -351,6 +348,14 @@ def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
         return real(domain, P, **kw)
 
     monkeypatch.setattr(measure, "densities", counting)
+    return rows
+
+
+@pytest.mark.parametrize("rung", [0, 5, 10])
+def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
+    tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + 1e-6))
+    piece = _ladder_piece(tri.vertices(), 0, 0.5 ** (rung + 1), 0.5 ** (rung + 2))
+    rows = _counting_densities(monkeypatch)
     est = region_area(_SQUARE4, piece, tol=1e-3, max_depth=PIECE_MAX_DEPTH, max_points=PIECE_MAX_POINTS,
                       n_dirs=PIECE_DIRS)
     points = sum(rows)
@@ -358,6 +363,55 @@ def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
     assert PIECE_MAX_POINTS - 16 * len(_CELL_WEIGHTS) < points <= PIECE_MAX_POINTS
     assert points <= CENTROID_RULE_PIECE_POINTS
     assert est.diverged
+
+
+def test_batch_equals_each_region_alone(monkeypatch):
+    tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + 1e-6))
+    capped = _ladder_piece(tri.vertices(), 0, 0.5 ** 6, 0.5 ** 7)
+    # a vertex on an edge: the cell at it never settles, down to the depth cap
+    deep = np.array([[0.5, 0.5], [0.2, 0.1], [0.1, 0.2]])
+    hexagon = 0.3 * np.stack([np.cos(np.arange(6) * np.pi / 3.0), np.sin(np.arange(6) * np.pi / 3.0)], axis=1)
+    regions = [np.empty((0, 2)), [[0.1, 0.2]], [[0.1, 0.2], [0.3, -0.1]],
+               [[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]], hexagon, capped, deep]
+    settings = (1e-3, PIECE_MAX_DEPTH, PIECE_MAX_POINTS, PIECE_DIRS)
+    rows = _counting_densities(monkeypatch)
+    alone, alone_rows = [], []
+    for r in regions:
+        alone.append(region_area(_SQUARE4, r, *settings))
+        alone_rows.append(rows[:])
+        rows.clear()
+    V = np.concatenate([np.reshape(r, (-1, 2)) for r in regions])
+    counts = [np.size(r) // 2 for r in regions]
+    assert measure._region_areas(_SQUARE4, V, counts, *settings) == alone
+    assert alone[:3] == [QuadratureEstimate(0.0, 0.0, 0, False)] * 3
+    assert alone[5].diverged and alone[5].depth < PIECE_MAX_DEPTH
+    assert sum(alone_rows[5]) > PIECE_MAX_POINTS - 16 * len(_CELL_WEIGHTS)
+    assert alone[6].depth == PIECE_MAX_DEPTH
+    # the batch evaluates the same points in as many calls as its longest region
+    assert sum(rows) == sum(map(sum, alone_rows))
+    assert len(rows) == max(map(len, alone_rows))
+
+
+def test_batch_raises_what_its_first_bad_region_raises():
+    convex = [[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]]
+    nonconvex = [[0.0, 0.0], [0.5, 0.0], [0.1, 0.1], [0.0, 0.5]]
+    outside = [[0.0, 0.0], [2.0, 0.0], [0.0, 0.5]]
+    settings = (1e-3, PIECE_MAX_DEPTH, PIECE_MAX_POINTS, PIECE_DIRS)
+    with pytest.raises(ValueError, match="convex") as alone:
+        region_area(unit_disk(), nonconvex, *settings)
+    with pytest.raises(ValueError, match="convex") as batch:
+        measure._region_areas(unit_disk(), np.concatenate([convex, nonconvex, outside]), [3, 4, 3], *settings)
+    assert type(batch.value) is type(alone.value)
+    with pytest.raises(RegionOutsideDomain):
+        measure._region_areas(unit_disk(), np.concatenate([convex, outside, nonconvex]), [3, 3, 4], *settings)
+
+
+def test_settled_disk_triangle_takes_one_density_batch(monkeypatch):
+    # all 34 pieces settle on their fan cells (3 + 33 * 4), so the fan cells
+    # and their children, 5 cells of 7 points each, are the only batch
+    rows = _counting_densities(monkeypatch)
+    ideal_triangle_area_detail(unit_disk(), make_ideal_triangle(unit_disk(), 0.2, 2.3, 4.3))
+    assert rows == [(3 + 33 * 4) * 5 * len(_CELL_WEIGHTS)] == [4725]
 
 
 @pytest.mark.parametrize(
