@@ -14,12 +14,12 @@ Conventions:
   radians; polygons take arc-length fraction in ``[0, 1)``
 * rays are cast from strictly interior points; reported ray parameters are
   Euclidean lengths (directions are normalized internally).  A row whose
-  start is not strictly interior (gauge >= 0) gets NaN; ``chord`` and the
-  validating entry points raise ``PointNotInterior`` instead
+  start is not strictly interior (gauge >= 0) gets NaN; the validating
+  entry points raise ``PointNotInterior`` instead
 * a zero ray direction raises ``ValueError``
 * variants implement one ray method, ``ray_hits_both`` (the whole chord:
   both hits of the line through each start); ``ray_hits`` is its ``+V``
-  half, which the Newton cast computes without the ``-V`` loop
+  half
 * gauges are convex; a variant without its own chord cast also gives
   ``gauge_and_grad`` (the gauge and its gradient, any subgradient at a
   kink, from one shared computation) and ``_outer``, a circumscribed
@@ -36,16 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ImproperImage,
-    NoConvergence,
-    NotOnBoundary,
-    PointNotInterior,
-)
+from .errors import ImproperImage, NotOnBoundary, PointNotInterior
 
 # a near-tangent ray at worst halves its distance to the hit per Newton round,
 # and 53 halvings exhaust double precision; converged rows leave early
 _NEWTON_ITERS = 64
+# boundary samples that certify a projective image bounded
+_PROPER_SAMPLES = 512
 
 
 def as_point(p) -> np.ndarray:
@@ -164,20 +161,6 @@ class ProjectiveMap:
         return f"ProjectiveMap({self.matrix.tolist()})"
 
 
-@dataclass(frozen=True)
-class Chord:
-    """Boundary chord through an interior point along a direction.
-
-    ``p_plus`` is hit along ``+v``, ``p_minus`` along ``-v``; ``t_plus`` and
-    ``t_minus`` are the (positive) Euclidean distances from the query point.
-    """
-
-    p_minus: np.ndarray
-    p_plus: np.ndarray
-    t_minus: float
-    t_plus: float
-
-
 class ConvexDomain:
     """Bounded open convex domain in the plane.
 
@@ -196,14 +179,11 @@ class ConvexDomain:
 
     :meth:`boundary_points` defaults to the radial parameterisation (the
     boundary hit from the anchor at angle ``t``); variants with a native
-    parameterisation override it.  Chords and supporting lines are shared.
+    parameterisation override it.  Supporting lines are shared.
     """
 
     param_period: float = 2.0 * np.pi
-    boundary_tol: float = 1e-10
     strictly_convex: bool = True
-    # false on the variants with their own ray_hits_both, which ray_hits then takes
-    _newton_cast: bool = True
 
     # ---- per-variant interface -------------------------------------------------
 
@@ -290,12 +270,8 @@ class ConvexDomain:
 
     def ray_hits(self, P, V) -> np.ndarray:
         """First boundary hit parameter along each ray ``P[i] + t*V[i]``: the
-        ``+V`` half of :meth:`ray_hits_both`, bit for bit.  The Newton cast
-        runs its ``+V`` loop only."""
-        if not self._newton_cast:
-            return self.ray_hits_both(P, V)[0]
-        P, U, rows, out_plus, _ = self._newton_starts(P, V)
-        return self._newton_hits(P, U, rows, out_plus)
+        ``+V`` half of :meth:`ray_hits_both`."""
+        return self.ray_hits_both(P, V)[0]
 
     def ray_hits_both(self, P, V):
         """Hit parameters along ``+V`` and ``-V`` (two arrays): the chord of
@@ -316,18 +292,13 @@ class ConvexDomain:
         batch.  The two directions share the input checks, the interior mask
         and the outer exits, and run the loop one after the other.
         """
-        P, U, rows, out_plus, out_minus = self._newton_starts(P, V)
-        return self._newton_hits(P, U, rows, out_plus), self._newton_hits(P, -U, rows, out_minus)
-
-    def _newton_starts(self, P, V):
-        """The unit rays, the interior rows and those rows' exits from
-        ``_outer`` along ``+U`` and ``-U``: the set-up both Newton casts share."""
         P, U = self._unit_rays(P, V)
         rows = np.flatnonzero(self.gauge(P) < 0.0)
         # exits for the whole batch, so that any polygon slacks the gauge
         # shares round as they did in gauge(P) and no interior row gets NaN
         out_plus, out_minus = self._outer_hits(P, U)
-        return P, U, rows, out_plus.take(rows), out_minus.take(rows)
+        return (self._newton_hits(P, U, rows, out_plus.take(rows)),
+                self._newton_hits(P, -U, rows, out_minus.take(rows)))
 
     def _newton_hits(self, P, U, rows, t_r):
         """Newton from the outer exits ``t_r`` of the interior ``rows``; NaN
@@ -355,26 +326,6 @@ class ConvexDomain:
         be inside it."""
         return self._outer.ray_hits_both(P, U)
 
-    def chord(self, p, v) -> Chord:
-        """Boundary chord through interior point ``p`` along direction ``v``.
-
-        Raises ``PointNotInterior`` when ``p`` is not strictly inside and
-        ``NoConvergence`` when an endpoint fails the boundary predicate.
-        """
-        p = as_point(p)
-        v = _unit(as_point(v))
-        if not self.contains(p):
-            raise PointNotInterior("point not interior")
-        tp, tm = self.ray_hits_both(p[None, :], v[None, :])
-        t_plus = float(tp[0])
-        t_minus = float(tm[0])
-        p_plus = p + t_plus * v
-        p_minus = p - t_minus * v
-        res = max(abs(self.gauge1(p_plus)), abs(self.gauge1(p_minus)))
-        if res > self.boundary_tol * self.scale():
-            raise NoConvergence(f"chord endpoint residual {res:.3e} exceeds tolerance")
-        return Chord(p_minus=p_minus, p_plus=p_plus, t_minus=t_minus, t_plus=t_plus)
-
     def _supporting_normal(self, b: np.ndarray) -> np.ndarray:
         return self.boundary_normals(b[None, :])[0]
 
@@ -393,8 +344,6 @@ class ConvexDomain:
 
 class Ellipse(ConvexDomain):
     """Ellipse with center, semi-axes and rotation; rays solve a quadratic."""
-
-    _newton_cast = False
 
     def __init__(self, center=(0.0, 0.0), semi_axes=(1.0, 1.0), rotation: float = 0.0):
         self.center = as_point(center)
@@ -470,8 +419,6 @@ class PBall(ConvexDomain):
         self.center.setflags(write=False)
         # p = 1 is the diamond: flat sides, corner points
         self.strictly_convex = p > 1.0
-        # p = 2 is the disk, whose chords solve a quadratic
-        self._newton_cast = p != 2.0
 
     def gauge(self, P) -> np.ndarray:
         Z = (as_points(P) - self.center) / self.radius
@@ -503,12 +450,13 @@ class PBall(ConvexDomain):
         return self.radius * 2.0 ** max(0.0, 0.5 - 1.0 / self.p)
 
     def _unit_ball_areas_exact(self, P):
-        if self._newton_cast:
+        if self.p != 2.0:
             return None
         return _klein_ball_areas(self.gauge(P), math.pi * self.radius ** 2)
 
     def ray_hits_both(self, P, V):
-        if self._newton_cast:
+        # p = 2 is the disk, whose chords solve a quadratic
+        if self.p != 2.0:
             return super().ray_hits_both(P, V)
         P, U = self._unit_rays(P, V)
         B, C, disc, A = _unit_conic_terms((P - self.center) / self.radius, U, 1.0)
@@ -550,9 +498,7 @@ class Polygon(ConvexDomain):
     """
 
     param_period = 1.0
-    boundary_tol = 1e-8
     strictly_convex = False
-    _newton_cast = False
 
     def __init__(self, vertices):
         V = as_points(vertices)
@@ -819,9 +765,7 @@ class ProjectiveImage(ConvexDomain):
     ray's line back to the inner domain and pushing the endpoints forward.
     """
 
-    _newton_cast = False
-
-    def __init__(self, inner: ConvexDomain, H: ProjectiveMap, _samples: int = 512):
+    def __init__(self, inner: ConvexDomain, H: ProjectiveMap):
         if isinstance(inner, ProjectiveImage):
             H = H.compose(inner.map)
             inner = inner.inner
@@ -829,7 +773,7 @@ class ProjectiveImage(ConvexDomain):
         self.map = H
         self._inv = H.inverse()
         M = H.matrix
-        B = inner.boundary_samples(_samples)
+        B = inner.boundary_samples(_PROPER_SAMPLES)
         hom = np.concatenate([B, np.ones((len(B), 1))], axis=1) @ M.T
         w = hom[:, 2]
         anchor_w = float(M[2, 0] * inner.interior_point()[0] + M[2, 1] * inner.interior_point()[1] + M[2, 2])
@@ -848,7 +792,6 @@ class ProjectiveImage(ConvexDomain):
         r = np.hypot(boundary[:, 0] - self._anchor[0], boundary[:, 1] - self._anchor[1])
         self._bounding = float(np.max(r)) * 1.05 + 1e-12
         self.param_period = inner.param_period
-        self.boundary_tol = max(inner.boundary_tol, 1e-10)
         self.strictly_convex = inner.strictly_convex
 
     def _pull(self, P: np.ndarray, w_min: float = 0.0):

@@ -107,31 +107,24 @@ def _harmonic_halfwidth(t_plus: np.ndarray, t_minus: np.ndarray) -> np.ndarray:
     return 2.0 * t_plus * t_minus / np.maximum(t_plus + t_minus, _TINY)
 
 
-def ball_frames(domain: ConvexDomain, P, warp: bool = True):
+def ball_frames(domain: ConvexDomain, P):
     """Adapted frame per point: tangential axis, inward axis, half-widths.
 
     The inward axis points away from the (approximately) nearest boundary
     point, found by probing eight directions along four chords; half-widths
-    are the unit-ball radii along the two axes.  With ``warp=False`` the frame is the standard
-    basis with unit half-widths, which reduces every consumer to plain
-    uniform-angle quadrature (used for grid-matched comparisons).
+    are the unit-ball radii along the two axes.
     Every point must be strictly interior, else ``PointNotInterior`` is
     raised: a point on or outside the boundary has no chords to frame it.
     """
     P = as_points(P)
     if not np.all(domain.gauge(P) < 0.0):
         raise PointNotInterior("point not interior")
-    return _ball_frames(domain, P, warp)
+    return _ball_frames(domain, P)
 
 
-def _ball_frames(domain: ConvexDomain, P: np.ndarray, warp: bool):
+def _ball_frames(domain: ConvexDomain, P: np.ndarray):
     """:func:`ball_frames` of points already checked to be interior."""
     m = len(P)
-    if not warp:
-        tau = np.tile(np.array([1.0, 0.0]), (m, 1))
-        nin = np.tile(np.array([0.0, 1.0]), (m, 1))
-        ones = np.ones(m)
-        return tau, nin, ones, ones
     c = len(_PROBE_CHORDS)
     tp, tm = domain.ray_hits_both(np.repeat(P, c, axis=0), np.tile(_PROBE_CHORDS, (m, 1)))
     # columns in the order of _PROBE_DIRS
@@ -160,7 +153,6 @@ def unit_ball_areas(
     domain: ConvexDomain,
     P,
     n_dirs: int = 96,
-    warp: bool = True,
     validate: bool = True,
 ) -> np.ndarray:
     """Areas of the Finsler unit balls at the given interior points, by ray
@@ -169,7 +161,7 @@ def unit_ball_areas(
     Composite Simpson on the polar area integral (1/2) * integral of r^2
     over the angle, taken in the adapted elliptical angle.  In the adapted
     parameterization the integrand is a*b / F(p, u(psi))^2 with u the
-    unnormalized warped direction, constant whenever the ball is the frame
+    unnormalized frame direction, constant whenever the ball is the frame
     ellipse itself.  :func:`densities` takes the closed form instead where a
     class has one; this quadrature stays the reference it is tested against.
 
@@ -177,8 +169,8 @@ def unit_ball_areas(
     integrand there is the same value with the two chord hits swapped.  So
     only the first half-circle of directions is cast (each chord once, both
     hits from ``ray_hits_both``), and each node carries the Simpson weights
-    of both psi and psi + pi.  An odd ``n_dirs`` is rounded up to the next
-    even count.
+    of both psi and psi + pi.  ``n_dirs`` must be an integer >= 16; an odd
+    count is rounded up to the next even one.
 
     With ``validate`` a point not strictly interior raises
     ``PointNotInterior``; without, its area is NaN.  Points are processed in
@@ -187,12 +179,13 @@ def unit_ball_areas(
     does not change it.
     """
     P, n_dirs = _ball_points(domain, P, n_dirs, validate)
-    return _by_chunks(lambda Q: _unit_ball_areas(domain, Q, n_dirs, warp), P)
+    return _by_chunks(lambda Q: _unit_ball_areas(domain, Q, n_dirs), P)
 
 
 def _ball_points(domain: ConvexDomain, P, n_dirs: int, validate: bool):
     """The checked points and the even direction count of a unit-ball call."""
     P = as_points(P)
+    _require_count("n_dirs", n_dirs)
     if n_dirs < 16:
         raise ValueError("need at least 16 directions")
     if validate and not np.all(domain.gauge(P) < 0.0):
@@ -205,19 +198,19 @@ def _by_chunks(f, P: np.ndarray) -> np.ndarray:
     return np.concatenate([f(P[i:i + _BALL_ROWS]) for i in range(0, max(len(P), 1), _BALL_ROWS)])
 
 
-def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: bool) -> np.ndarray:
+def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int) -> np.ndarray:
     inside = domain.gauge(P) < 0.0
     if not inside.all():
         # a start not strictly interior has no chords to frame its ball
         areas = np.full(len(P), np.nan)
-        areas[inside] = _unit_ball_areas(domain, P[inside], n_dirs, warp)
+        areas[inside] = _unit_ball_areas(domain, P[inside], n_dirs)
         return areas
     m = len(P)
     half = n_dirs // 2
-    tau, nin, a, b = _ball_frames(domain, P, warp)
+    tau, nin, a, b = _ball_frames(domain, P)
     psi = np.arange(half) * (2.0 * np.pi / n_dirs)
     cs, sn = np.cos(psi), np.sin(psi)
-    # warped directions u[i, k] = a_i cos(psi_k) tau_i + b_i sin(psi_k) n_i
+    # adapted directions u[i, k] = a_i cos(psi_k) tau_i + b_i sin(psi_k) n_i
     U = (
         (a[:, None] * cs[None, :])[:, :, None] * tau[:, None, :]
         + (b[:, None] * sn[None, :])[:, :, None] * nin[:, None, :]
@@ -235,33 +228,31 @@ def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int, warp: boo
     return 0.5 * np.einsum("ij,j->i", integrand, w[:half] + w[half:])
 
 
-def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96, warp: bool = True) -> float:
-    return float(unit_ball_areas(domain, as_point(p)[None, :], n_dirs=n_dirs, warp=warp)[0])
+def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96) -> float:
+    return float(unit_ball_areas(domain, as_point(p)[None, :], n_dirs=n_dirs)[0])
 
 
 def densities(
     domain: ConvexDomain,
     P,
     n_dirs: int = 96,
-    warp: bool = True,
     validate: bool = True,
 ) -> np.ndarray:
     """Hilbert measure density pi / Vol(B(p)) per point, clipped at 1e30.
 
-    With ``warp`` the unit-ball areas are exact on polygons, ellipses and the
-    disk ``PBall(2)`` (``ConvexDomain._unit_ball_areas_exact``) and the
+    The unit-ball areas are exact on polygons, ellipses and the disk
+    ``PBall(2)`` (``ConvexDomain._unit_ball_areas_exact``) and the
     :func:`unit_ball_areas` quadrature at ``n_dirs`` directions on every
-    other class; without, every class takes the unwarped quadrature, which
-    keeps grids matched across domains.  With ``validate`` a point not
-    strictly interior raises ``PointNotInterior``; without, its density is
-    NaN.  Every row is computed on its own, so a point's density is the same
-    alone or in any batch.
+    other class; ``n_dirs`` is checked on both paths.  With ``validate`` a
+    point not strictly interior raises ``PointNotInterior``; without, its
+    density is NaN.  Every row is computed on its own, so a point's density
+    is the same alone or in any batch.
     """
     P, n_dirs = _ball_points(domain, P, n_dirs, validate)
 
     def areas(Q):
-        exact = domain._unit_ball_areas_exact(Q) if warp else None
-        return _unit_ball_areas(domain, Q, n_dirs, warp) if exact is None else exact
+        exact = domain._unit_ball_areas_exact(Q)
+        return _unit_ball_areas(domain, Q, n_dirs) if exact is None else exact
 
     h = _by_chunks(areas, P)
     with np.errstate(divide="ignore", over="ignore"):
@@ -448,27 +439,12 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     return results
 
 
-def _grid_area(domain: ConvexDomain, region) -> float:
-    """Hilbert measure of a region on a fixed grid that is the same in every
-    domain: each fan triangle split three times, unwarped densities at 32
-    directions, summed as area times the density at each cell's centroid.
-    Nested-domain comparisons need grids that match across domains, which
-    adaptive refinement does not give.
-    """
-    V = np.empty((0, 2)) if np.size(region) == 0 else as_points(region)
-    tri, _ = _fan_cells(domain, V, [len(V)])
-    for _ in range(3):
-        tri = _split4(tri).reshape(-1, 3, 2)
-    h = densities(domain, tri.mean(axis=1), n_dirs=32, warp=False, validate=False)
-    return float(np.sum(_tri_areas(tri) * h))
-
-
 # ---------------------------------------------------------------------------
 # metric balls
 
 
 def chord_parameter_at_distance(t_plus, t_minus, rho):
-    """Chord parameter t at Hilbert distance ``rho`` from the chord's point.
+    """The chord parameter t at Hilbert distance ``rho`` from the chord's point.
 
     On a chord with boundary hits t_plus ahead and t_minus behind, the
     distance profile
@@ -491,7 +467,7 @@ def chord_parameter_at_distance(t_plus, t_minus, rho):
 def _frame_chords(domain: ConvexDomain, q: np.ndarray, n: int):
     """Unit directions about q at n adapted-frame angles psi, their chord
     hits, and the elliptical-angle Jacobian d(theta)/d(psi)."""
-    tau, nin, a, b = _ball_frames(domain, q[None, :], True)
+    tau, nin, a, b = _ball_frames(domain, q[None, :])
     psi = np.arange(n) * (2.0 * np.pi / n)
     cs, sn = np.cos(psi), np.sin(psi)
     U = (a[0] * cs)[:, None] * tau[0][None, :] + (b[0] * sn)[:, None] * nin[0][None, :]

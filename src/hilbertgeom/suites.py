@@ -16,7 +16,7 @@ import numpy as np
 
 from .domains import ConvexDomain, Ellipse, PBall, Polygon, PowerCap, unit_disk
 from .errors import InsufficientSignal
-from .measure import _grid_area, ball_area, chord_parameter_at_distance, region_area
+from .measure import ball_area, chord_parameter_at_distance, region_area
 from .metric import finsler_norms, hilbert_distances
 from .normalize import boundary_graph, graph_alpha_fit
 from .regularity import (
@@ -131,8 +131,8 @@ def run_comparison_suite(pairs: int = 150, seed: int = 0) -> SuiteReport:
         while np.any(inner.gauge(T) >= -1e-6):
             rad *= 0.5
             T = p[None, :] + rad * dirs
-        mu_in = _grid_area(inner, T)
-        mu_out = _grid_area(outer, T)
+        mu_in = region_area(inner, T).value
+        mu_out = region_area(outer, T).value
         if mu_in > 0:
             worst_meas = max(worst_meas, mu_out / mu_in - 1.0)
         if mu_out > mu_in * (1.0 + 1e-3):

@@ -24,7 +24,7 @@ from hilbertgeom.domains import (
     regular_polygon,
     unit_disk,
 )
-from hilbertgeom.errors import ImproperImage, NotOnBoundary, PointNotInterior
+from hilbertgeom.errors import ImproperImage, NotOnBoundary
 from hilbertgeom.measure import unit_ball_areas
 from hilbertgeom.metric import hilbert_distances
 from hilbertgeom.triangles import ideal_triangle_area, make_ideal_triangle
@@ -248,10 +248,6 @@ def test_ray_hits_nan_for_non_interior_starts(dom, exterior):
     for t, ref in ((dom.ray_hits(P, V), alone), (t_plus, alone), (t_minus, dom.ray_hits(interior, -U))):
         assert np.isnan(t[[2, 5]]).all()
         np.testing.assert_array_equal(np.delete(t, [2, 5]), ref)
-    with pytest.raises(PointNotInterior):
-        dom.chord(exterior, U[0])
-    with pytest.raises(PointNotInterior):
-        dom.chord(boundary, U[0])
 
 
 def test_projective_ray_hits_nan_beyond_line_at_infinity():
@@ -545,19 +541,12 @@ def _both_hits(dom, P, V):
     return (dom.ray_hits(P, V),) + tuple(dom.ray_hits_both(P, V))
 
 
-def _plus_half(self, P, V):
-    """``ray_hits`` as the ``+V`` half of a patched ``ray_hits_both``: the
-    Newton cast's lone ``+V`` loop would bypass the patch."""
-    return self.ray_hits_both(P, V)[0]
-
-
 def test_generic_ray_hits_match_bisection_reference(equivalence_domains, monkeypatch):
     # the iterates differ by design, so the two agree to the fixture's
     # round-off tolerance rather than bit for bit
     cases = [(name, dom, P, V, _both_hits(dom, P, V)) for name, dom, P, V in
              _ray_cases(equivalence_domains, _GENERIC_PATH)]
     monkeypatch.setattr(ConvexDomain, "ray_hits_both", _reference_generic_ray_hits_both)
-    monkeypatch.setattr(ConvexDomain, "ray_hits", _plus_half)
     for name, dom, P, V, new in cases:
         tol = np.append(equivalence_domains[name][2], 0.0)
         for sign, got, ref in zip((1.0, 1.0, -1.0), new, _both_hits(dom, P, V)):
@@ -586,8 +575,7 @@ def test_conic_ray_hits_match_inline_roots_bitwise(equivalence_domains, name, re
 
 def test_ray_hits_both_equals_two_casts(equivalence_domains):
     # one solve per chord on the closed-form paths: along -V the conic root
-    # and the polygon exits come out of the same terms, bit for bit; a lone
-    # generic ray_hits runs only the +V Newton loop, on the same rows
+    # and the polygon exits come out of the same terms, bit for bit
     for name, dom, P, V in _ray_cases(equivalence_domains, equivalence_domains):
         t_plus, t_minus = dom.ray_hits_both(P, V)
         assert np.isnan(t_plus[-1]) and np.isnan(t_minus[-1]), name
@@ -777,7 +765,6 @@ def test_generic_chord_bit_identical_to_separate_gauge_and_gradient(equivalence_
             assert np.isnan(new[0][-1]) == (idx[-1] == exterior), name
             cases.append((f"{name} n={len(idx)}", dom, P[idx], V[idx], new))
     monkeypatch.setattr(ConvexDomain, "ray_hits_both", _separate_ray_hits_both)
-    monkeypatch.setattr(ConvexDomain, "ray_hits", _plus_half)
     for label, dom, P, V, new in cases:
         for got, want in zip(new, _both_hits(dom, P, V)):
             assert np.array_equal(got, want, equal_nan=True), label

@@ -28,7 +28,6 @@ from hilbertgeom.measure import (
     _ball_level,
     _cell_nodes,
     _cell_values,
-    _grid_area,
     _harmonic_halfwidth,
     _simpson_weights,
     ball_area,
@@ -150,8 +149,7 @@ def test_exact_densities_do_not_depend_on_the_batch(name):
 @pytest.mark.parametrize("dom", [regular_polygon(4), unit_disk(), Ellipse(semi_axes=(1.3, 0.8), rotation=0.3),
                                  PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1)],
                          ids=["square", "disk", "ellipse", "pball4", "smoothed"])
-@pytest.mark.parametrize("warp", [True, False])
-def test_points_not_interior_get_nan(dom, warp):
+def test_points_not_interior_get_nan(dom):
     # outside, on the boundary (the first point along a ray from the anchor
     # with gauge >= 0) and far off; the interior rows keep their values
     c = dom.interior_point()
@@ -159,16 +157,26 @@ def test_points_not_interior_get_nan(dom, warp):
     while dom.gauge1(B) < 0.0:
         B = np.nextafter(B, B + (B - c))
     P = np.array([c + 1.5 * (B - c), B, c + 0.5 * (B - c), c + [40.0, -30.0], c])
-    h = densities(dom, P, n_dirs=24, warp=warp, validate=False)
-    areas = unit_ball_areas(dom, P, n_dirs=24, warp=warp, validate=False)
+    h = densities(dom, P, n_dirs=24, validate=False)
+    areas = unit_ball_areas(dom, P, n_dirs=24, validate=False)
     for got in (h, areas):
         assert np.all(np.isnan(got[[0, 1, 3]]))
-    assert np.array_equal(h[[2, 4]], densities(dom, P[[2, 4]], n_dirs=24, warp=warp))
-    assert np.array_equal(areas[[2, 4]], unit_ball_areas(dom, P[[2, 4]], n_dirs=24, warp=warp))
+    assert np.array_equal(h[[2, 4]], densities(dom, P[[2, 4]], n_dirs=24))
+    assert np.array_equal(areas[[2, 4]], unit_ball_areas(dom, P[[2, 4]], n_dirs=24))
     with pytest.raises(PointNotInterior):
-        densities(dom, P, n_dirs=24, warp=warp)
+        densities(dom, P, n_dirs=24)
     with pytest.raises(PointNotInterior):
-        unit_ball_areas(dom, P, n_dirs=24, warp=warp)
+        unit_ball_areas(dom, P, n_dirs=24)
+
+
+@pytest.mark.parametrize("dom", [regular_polygon(4), PBall(4.0)], ids=["closed", "rays"])
+@pytest.mark.parametrize("f", [densities, unit_ball_areas], ids=["densities", "unit_ball_areas"])
+@pytest.mark.parametrize("n_dirs", [24.5, 24.0, True, 8])
+def test_bad_direction_counts_raise(dom, f, n_dirs):
+    # a float count would be rounded or truncated silently, and fewer than
+    # 16 directions cannot resolve a unit ball
+    with pytest.raises(ValueError):
+        f(dom, [[0.1, 0.2]], n_dirs=n_dirs)
 
 
 @pytest.mark.parametrize("inner, tol", [(unit_disk(), 1e-9), (regular_polygon(4), 1e-5)], ids=["disk", "square"])
@@ -312,25 +320,17 @@ def test_region_area_rejects_outside_vertices():
 
 
 def test_region_area_monotone_under_inclusion():
-    small = PBall(2.0, scale=0.9)
-    big = unit_disk()
+    # the second pair takes rays inside and the closed form outside
     T = np.array([[0.0, -0.2], [0.3, 0.15], [-0.25, 0.2]])
-    assert _grid_area(big, T) <= _grid_area(small, T)
-
-
-def test_grid_area_approximates_the_adaptive_area():
-    # 3 fan triangles split to 4^3 cells each: the midpoint rule of the
-    # unwarped density, close to the adaptive value on a round domain
-    disk = unit_disk()
-    T = np.array([[0.0, -0.2], [0.3, 0.15], [-0.25, 0.2]])
-    assert _grid_area(disk, T) == pytest.approx(region_area(disk, T, tol=1e-6).value, rel=1e-3)
+    for small, big in ((PBall(2.0, scale=0.9), unit_disk()),
+                       (PBall(4.0, scale=0.9), regular_polygon(4, circumradius=1.5, phase=math.pi / 4))):
+        assert region_area(big, T).value <= region_area(small, T).value
 
 
 @pytest.mark.parametrize("region", [[], np.empty(0), np.empty((0, 2)), [[0.1, 0.2]], [[0.1, 0.2], [0.3, -0.1]]],
                          ids=["list", "flat", "rows", "one-vertex", "two-vertex"])
 def test_empty_and_degenerate_regions_have_zero_measure(region):
     assert region_area(unit_disk(), region) == QuadratureEstimate(0.0, 0.0, 0, False)
-    assert _grid_area(unit_disk(), region) == 0.0
 
 
 @pytest.mark.parametrize("region", [[[2.0, 0.0]], [[0.1, 0.2], [3.0, 0.1]]], ids=["one-vertex", "two-vertex"])
@@ -393,12 +393,11 @@ def test_probe_chords_equal_eight_lone_casts(equivalence_domains):
             assert np.array_equal(got, ref), name
 
 
-@pytest.mark.parametrize("warp", [True, False])
-def test_ball_frames_reject_points_not_interior(warp):
+def test_ball_frames_reject_points_not_interior():
     square = regular_polygon(4)
     for P in ([[1.5, 0.0]], [[0.0, 0.0], [1.5, 0.0]], square.boundary_points([0.1])):
         with pytest.raises(PointNotInterior):
-            ball_frames(square, P, warp=warp)
+            ball_frames(square, P)
 
 
 def test_density_within_rounding_of_the_boundary_takes_no_warning():
@@ -444,11 +443,11 @@ def test_quadrature_estimate_roundtrip():
     assert back == est
 
 
-def _reference_unit_ball_areas(domain, P, n_dirs, warp):
+def _reference_unit_ball_areas(domain, P, n_dirs):
     """The full-circle Simpson sum the half-circle version replaced: every
-    warped direction of the circle is cast on its own."""
+    adapted direction of the circle is cast on its own."""
     m = len(P)
-    tau, nin, a, b = ball_frames(domain, P, warp=warp)
+    tau, nin, a, b = ball_frames(domain, P)
     psi = np.arange(n_dirs) * (2.0 * np.pi / n_dirs)
     U = (
         (a[:, None] * np.cos(psi)[None, :])[:, :, None] * tau[:, None, :]
@@ -461,11 +460,10 @@ def _reference_unit_ball_areas(domain, P, n_dirs, warp):
 
 
 @pytest.mark.parametrize("n_dirs", [18, 24, 64])
-@pytest.mark.parametrize("warp", [True, False])
-def test_unit_ball_areas_match_full_circle_sum(equivalence_domains, n_dirs, warp):
+def test_unit_ball_areas_match_full_circle_sum(equivalence_domains, n_dirs):
     for name, (dom, P, tol) in equivalence_domains.items():
-        got = unit_ball_areas(dom, P, n_dirs=n_dirs, warp=warp)
-        ref = _reference_unit_ball_areas(dom, P, n_dirs, warp)
+        got = unit_ball_areas(dom, P, n_dirs=n_dirs)
+        ref = _reference_unit_ball_areas(dom, P, n_dirs)
         assert np.all(np.abs(got - ref) <= tol * ref), name
 
 
