@@ -428,7 +428,7 @@ class PBall(ConvexDomain):
         Z = (as_points(P) - self.center) / self.radius
         A = np.abs(Z)
         # both powers: |Z|^p from |Z|^(p-1) * |Z| would round differently
-        g = (A ** self.p).sum(axis=1) - 1.0
+        g = A[:, 0] ** self.p + A[:, 1] ** self.p - 1.0
         G = A ** (self.p - 1.0)
         # in place, which bounds the batch's memory: sign(Z) is exact, so
         # this rounds as (p / r) * sign(Z) * |Z|^(p-1) does

@@ -24,7 +24,8 @@ Many regions are refined as one flat array of cells, region-major, with one
 density batch per round for every region still refining (the pieces of an
 ideal triangle are); densities are computed row by row and each region's
 sums run over its own cells, so a region's estimate is the same alone or
-batched.
+batched, unless the caller stops the rounds early, as an ideal triangle does
+once a corner ladder's divergence has settled.
 Metric balls are integrated in polar shells about their centre
 (:func:`ball_area`), each level checked by error estimates from its own nodes.
 """
@@ -185,12 +186,16 @@ def unit_ball_areas(
 def _ball_points(domain: ConvexDomain, P, n_dirs: int, validate: bool):
     """The checked points and the even direction count of a unit-ball call."""
     P = as_points(P)
-    _require_count("n_dirs", n_dirs)
-    if n_dirs < 16:
-        raise ValueError("need at least 16 directions")
+    _require_dirs(n_dirs)
     if validate and not np.all(domain.gauge(P) < 0.0):
         raise PointNotInterior("point not interior")
     return P, n_dirs + n_dirs % 2
+
+
+def _require_dirs(n_dirs: int) -> None:
+    _require_count("n_dirs", n_dirs)
+    if n_dirs < 16:
+        raise ValueError("need at least 16 directions")
 
 
 def _by_chunks(f, P: np.ndarray) -> np.ndarray:
@@ -369,7 +374,8 @@ def region_area(
     refining a cell costs 16 cells of 7 points.  If cells remain unsettled
     when refinement stops and the last round still grew the total by more
     than a factor 1 + tol, the estimate is marked diverged.
-    An empty region has measure 0.
+    An empty region has measure 0.  ``n_dirs`` must be an integer >= 16; it
+    is checked on entry, also for a region with no cells.
 
     A region's estimate does not depend on which other regions share its
     rounds (:func:`_region_areas`).
@@ -379,7 +385,7 @@ def region_area(
 
 
 def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_depth: int, max_points: int,
-                  n_dirs: int) -> list:
+                  n_dirs: int, stop=None) -> list:
     """:func:`region_area` of each region given as ``counts[i]`` consecutive
     vertex rows of ``V``, all refined in one flat cell array.
 
@@ -391,9 +397,16 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     a region that picks none is finished and leaves the array.  A region's
     total and error are sums over its own slice, so with densities computed
     row by row its estimate equals the one it gets alone.
+
+    ``stop``, if given, is called as ``stop(ids, total)`` after each round
+    that still refines, with the regions in the array and their totals.
+    When it returns true, every region still refining is recorded as it
+    stands, diverged if that round grew it by more than a factor 1 + tol,
+    and no further round runs; until then the rounds are those without it.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    _require_dirs(n_dirs)
     tri, reg = _fan_cells(domain, V, counts)
     results = [QuadratureEstimate(0.0, 0.0, 0, False)] * len(counts)
     if len(tri) == 0:
@@ -420,10 +433,11 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
         # refinement stops with unsettled cells only at the depth cap or the point budget
         diverged = (np.bincount(reg, ~settled, len(counts))[ids] > 0) & (total > total_prev[ids] * (1.0 + tol))
         deepest = np.maximum.reduceat(depth, starts)
-        for j in np.flatnonzero(picked == 0):
+        stopped = len(idx) > 0 and stop is not None and bool(stop(ids, total))
+        for j in np.flatnonzero((picked == 0) | stopped):
             results[ids[j]] = QuadratureEstimate(float(total[j]), float(err[starts[j]:starts[j] + sizes[j]].sum()),
                                                  int(deepest[j]), bool(diverged[j]))
-        if len(idx) == 0:
+        if len(idx) == 0 or stopped:
             break
         budget_left[ids] -= _REFINE_POINTS * picked
         total_prev[ids] = total
@@ -487,8 +501,10 @@ def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) 
 
     Directions come from the adapted frame; along each chord the radius is
     the closed-form inverse of the distance profile
-    (:func:`chord_parameter_at_distance`).
+    (:func:`chord_parameter_at_distance`).  ``n_dirs``, the number of
+    vertices, must be an integer >= 1.
     """
+    _require_count("n_dirs", n_dirs)
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")

@@ -8,7 +8,9 @@ geometric side fractions 2^-k peel the corner into trapezoids whose areas
 form a (nearly) geometric series.  Summing the trapezoids and extrapolating
 the tail gives the corner area; a ladder whose increments stop decaying is
 reported as diverged, which is exactly the non-hyperbolic signature the
-polygon domains must show.
+polygon domains must show.  Refinement of a triangle's pieces stops once one
+ladder has read diverged in two rounds in a row, so the value of a diverged
+triangle is the partial sum at the round where its verdict settled.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ PIECE_MAX_DEPTH = 9
 PIECE_MAX_POINTS = 6000
 PIECE_DIRS = 24
 _SIDE_SAMPLES = 64
+# refinement rounds in a row in which one corner ladder must read non-Cauchy
+# on its pieces' running totals before the triangle stops refining: on the
+# square's corner-offset triangles a ladder that converges can read
+# non-Cauchy on the fan cells alone, and stopping there would flip its verdict
+_SETTLED_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,15 @@ class CornerLadder:
         return 1.0 / d if d else math.inf
 
 
+def _non_cauchy(mu: np.ndarray) -> bool:
+    """Whether the increments ``mu`` of a ladder, outermost first, fail to
+    close: the last three fail to decay (5% slack), or the decay ratio is too
+    close to 1 for the geometric tail to close."""
+    slack = 1.05
+    r_hat = mu[-1] / mu[-2] if mu[-2] > 0 else 1.0
+    return bool((mu[-1] >= mu[-2] / slack and mu[-2] >= mu[-3] / slack) or r_hat >= 0.98)
+
+
 def _ladder(estimates) -> CornerLadder:
     """Corner ladder from the region estimates of its trapezoids, outermost
     first; there must be at least three."""
@@ -196,17 +212,11 @@ def _ladder(estimates) -> CornerLadder:
         err += est.error_bound
     mu = np.asarray(increments)
     partial = float(mu.sum())
-    # non-Cauchy ladder: last three increments fail to decay (5% slack),
-    # or the decay ratio is too close to 1 for the geometric tail to close
-    slack = 1.05
-    diverged = bool(mu[-1] >= mu[-2] / slack and mu[-2] >= mu[-3] / slack)
-    r_hat = mu[-1] / mu[-2] if mu[-2] > 0 else 1.0
-    r_prev = mu[-2] / mu[-3] if mu[-3] > 0 else 1.0
-    if r_hat >= 0.98:
-        diverged = True
-    if diverged:
+    if _non_cauchy(mu):
         return CornerLadder(partial=partial, tail=0.0, increments=tuple(increments),
                             diverged=True, error=err)
+    r_hat = mu[-1] / mu[-2]
+    r_prev = mu[-2] / mu[-3] if mu[-3] > 0 else 1.0
     tail = float(mu[-1] * r_hat / (1.0 - r_hat))
     tail_alt = float(mu[-1] * r_prev / (1.0 - r_prev)) if r_prev < 1.0 else 2.0 * tail
     err += abs(tail - tail_alt) + mu[-1] * r_hat ** 2
@@ -227,12 +237,17 @@ def ideal_triangle_area_detail(
     three of them, so ``ladder_depth`` must be at least 4.  The trapezoids
     of all three ladders are built in one broadcast over the fractions, and
     the hexagon and every trapezoid are refined as one cell array, one
-    density batch per round (:func:`measure._region_areas`); each piece's
-    estimate equals its own ``region_area`` call with the ``PIECE_*``
-    settings.
+    density batch per round (:func:`measure._region_areas`).  Refinement
+    stops once one ladder reads non-Cauchy on its pieces' running totals in
+    ``_SETTLED_ROUNDS`` rounds in a row, and every piece keeps its total of
+    that round: a diverged ladder's partial is the one at the round where
+    its verdict settled.  Until then each piece's estimate equals its own
+    ``region_area`` call with the ``PIECE_*`` settings.  ``ladder_depth``
+    must be an integer.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
+    _require_count("ladder_depth", ladder_depth)
     if ladder_depth < 4:
         raise ValueError("ladder_depth must be at least 4")
     fractions = 0.5 ** np.arange(1, ladder_depth + 1)
@@ -240,8 +255,17 @@ def ideal_triangle_area_detail(
     hexagon = corner_decomposition(domain, T, 0.5).hexagon
     pieces = _ladder_piece(T.vertices(), np.arange(3)[:, None], fractions[:-1], fractions[1:])
     V = np.concatenate([hexagon, pieces.reshape(-1, 2)])
+    running = np.zeros(1 + 3 * rungs)
+    streak = np.zeros(3, dtype=int)
+
+    def settled(ids, total):
+        running[ids] = total
+        for i, mu in enumerate(running[1:].reshape(3, rungs)):
+            streak[i] = streak[i] + 1 if _non_cauchy(mu) else 0
+        return streak.max() >= _SETTLED_ROUNDS
+
     estimates = _region_areas(domain, V, [len(hexagon)] + [4] * 3 * rungs, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS,
-                              PIECE_DIRS)
+                              PIECE_DIRS, stop=settled)
     ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
     return estimates[0], ladders
 
@@ -256,7 +280,9 @@ def ideal_triangle_area(
 
     Hexagon quadrature plus corner ladders; the ladder tails are geometric
     extrapolations, and any non-Cauchy ladder marks the whole estimate as
-    diverged with the partial sum as a lower bound.
+    diverged with the partial sum as a lower bound: the partial at the
+    refinement round where the verdict settled
+    (:func:`ideal_triangle_area_detail`).
     """
     hex_est, ladders = ideal_triangle_area_detail(domain, T, tol=tol, ladder_depth=ladder_depth)
     value = hex_est.value + sum(lad.partial + lad.tail for lad in ladders)

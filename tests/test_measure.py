@@ -179,6 +179,25 @@ def test_bad_direction_counts_raise(dom, f, n_dirs):
         f(dom, [[0.1, 0.2]], n_dirs=n_dirs)
 
 
+_DIRECTION_COUNT_ENTRIES = {
+    "ball_boundary_polygon": lambda n: ball_boundary_polygon(unit_disk(), (0.1, 0.0), 1.0, n_dirs=n),
+    "region_area": lambda n: region_area(unit_disk(), [[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]], n_dirs=n),
+    "empty-region_area": lambda n: region_area(unit_disk(), [], n_dirs=n),
+}
+
+
+@pytest.mark.parametrize("entry, n_dirs", [
+    ("ball_boundary_polygon", 5.5), ("ball_boundary_polygon", 0), ("ball_boundary_polygon", True),
+    ("region_area", 24.5), ("region_area", 24.0), ("region_area", 8),
+    ("empty-region_area", 24.5), ("empty-region_area", 8),
+])
+def test_bad_direction_counts_raise_on_entry(entry, n_dirs):
+    # checked before any ray is cast: a float count broadcast wrongly or
+    # divided by 0, and an empty region returned 0 whatever the count
+    with pytest.raises(ValueError, match="n_dirs|directions"):
+        _DIRECTION_COUNT_ENTRIES[entry](n_dirs)
+
+
 @pytest.mark.parametrize("inner, tol", [(unit_disk(), 1e-9), (regular_polygon(4), 1e-5)], ids=["disk", "square"])
 def test_projective_unit_balls_scale_by_the_jacobian(inner, tol):
     # H maps the ball at x onto the ball at H(x), so areas scale by

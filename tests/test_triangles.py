@@ -193,9 +193,10 @@ def test_sup_area_result_max_value_includes_divergent():
 
 
 def test_ladder_depth_below_four_raises():
-    # the ladder's tail test compares its last three trapezoids
+    # the ladder's tail test compares its last three trapezoids, and its
+    # rungs are counted, so a float or bool depth is refused too
     disk, tri = _symmetric_disk_triangle()
-    for depth in (3, 1, 0):
+    for depth in (3, 1, 0, 5.5, 4.0, True):
         with pytest.raises(ValueError, match="ladder_depth"):
             ideal_triangle_area(disk, tri, ladder_depth=depth)
     assert ideal_triangle_area(disk, tri, ladder_depth=4).value > 0.0
@@ -329,7 +330,13 @@ _CORNERS = _SQUARE4.vertex_params()[:3]
 def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
     tri = make_ideal_triangle(dom, *ts)
     hex_est, ladders = ideal_triangle_area_detail(dom, tri)
-    assert (hex_est, ladders) == _reference_area_detail(dom, tri)
+    reference = _reference_area_detail(dom, tri)
+    if diverged:
+        # refinement stops once a ladder's divergence has settled, so the
+        # pieces keep earlier totals; each ladder's verdict is the same
+        assert [lad.diverged for lad in ladders] == [lad.diverged for lad in reference[1]]
+    else:
+        assert (hex_est, ladders) == reference
     assert any(lad.diverged for lad in ladders) == diverged
 
 
@@ -404,6 +411,29 @@ def test_batch_raises_what_its_first_bad_region_raises():
     assert type(batch.value) is type(alone.value)
     with pytest.raises(RegionOutsideDomain):
         measure._region_areas(unit_disk(), np.concatenate([convex, outside, nonconvex]), [3, 3, 4], *settings)
+
+
+# per-ladder verdicts of the corner-offset square triangles when every piece
+# refines to its budget, computed with the stop disabled in a copy of the
+# code (10 density batches, 198 933 points, partial 110.9226736...)
+CORNER_LADDER_VERDICTS = {1e-6: [True, False, False], -1e-6: [False, False, True]}
+# density points of the fan cells with their children and of the one round
+# of refinement before the corner ladder's verdict settles
+CORNER_STOP_POINTS = 17381
+
+
+@pytest.mark.parametrize("offset", list(CORNER_LADDER_VERDICTS), ids=["square-corner+", "square-corner-"])
+def test_corner_triangle_stops_once_its_divergence_settles(monkeypatch, offset):
+    tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + offset))
+    rows = _counting_densities(monkeypatch)
+    _, ladders = ideal_triangle_area_detail(_SQUARE4, tri)
+    assert len(rows) <= 2
+    assert sum(rows) <= CORNER_STOP_POINTS
+    assert [lad.diverged for lad in ladders] == CORNER_LADDER_VERDICTS[offset]
+    est = ideal_triangle_area(_SQUARE4, tri)
+    assert est.diverged
+    # criterion 5 needs the square's partial above 10 times the disk's pi
+    assert est.value > 10.0 * math.pi
 
 
 def test_settled_disk_triangle_takes_one_density_batch(monkeypatch):
