@@ -8,10 +8,12 @@ centrally symmetric polygon, or the Klein model's ellipse.  Every other class
 integrates it over ray-cast directions, as :func:`unit_ball_areas` does on
 all of them.  Near the boundary B(p) degenerates into a sliver whose aspect
 ratio blows up, so naive uniform-angle quadrature of the polar area integral
-stalls; every such angular integral is therefore taken in an adapted
-elliptical angle.  The substitution is exact whenever the unit ball is an
-ellipse (so ellipse domains give machine accuracy at any direction count)
-and costs one Jacobian factor otherwise.
+stalls; every such angular integral is therefore taken by the trapezoid rule
+in an adapted elliptical angle, where the integrand is periodic.  The
+substitution is exact whenever the unit ball is an ellipse (so ellipse
+domains give machine accuracy at any direction count) and costs one Jacobian
+factor otherwise.  At the 32 directions per density point of a metric ball,
+a PBall(4) ball's area is within 6e-5 of its value at 256 directions.
 
 Region integrals sum the density over an adaptively refined triangulation.
 Each cell is valued by Radon's 7-point rule, exact for polynomials of degree
@@ -48,8 +50,9 @@ _TINY = 1e-300
 # in closed form on a k-gon, takes k^2 products), and larger batches only
 # grow the arrays without computing faster
 _BALL_ROWS = 1024
-# unit-ball directions per density point of a metric-ball quadrature level
-_BALL_DENSITY_DIRS = 64
+# unit-ball directions per density point of a metric-ball level: PBall(4) balls
+# (R in [2.5, 3.2] about points within 0.3 of 0) drift by 6e-5 from 256 directions
+_BALL_DENSITY_DIRS = 32
 # rounding allowed per term of a metric-ball level, times its conditioning:
 # disk balls, which both rules integrate to rounding, differ from the level
 # with twice the nodes of each rule by at most 1.4 ulps per term so scaled
@@ -143,13 +146,6 @@ def _ball_frames(domain: ConvexDomain, P: np.ndarray):
     return tau, nin, a, b
 
 
-def _simpson_weights(n_dirs: int) -> np.ndarray:
-    w = np.empty(n_dirs)
-    w[0::2] = 2.0 / 3.0
-    w[1::2] = 4.0 / 3.0
-    return w * (2.0 * np.pi / n_dirs)
-
-
 def unit_ball_areas(
     domain: ConvexDomain,
     P,
@@ -159,17 +155,21 @@ def unit_ball_areas(
     """Areas of the Finsler unit balls at the given interior points, by ray
     quadrature on every domain class.
 
-    Composite Simpson on the polar area integral (1/2) * integral of r^2
-    over the angle, taken in the adapted elliptical angle.  In the adapted
+    The trapezoid rule on the polar area integral (1/2) * integral of r^2
+    over the angle, taken in the adapted elliptical angle psi.  In the adapted
     parameterization the integrand is a*b / F(p, u(psi))^2 with u the
     unnormalized frame direction, constant whenever the ball is the frame
-    ellipse itself.  :func:`densities` takes the closed form instead where a
-    class has one; this quadrature stays the reference it is tested against.
+    ellipse itself.  It is periodic in psi, and smooth on smooth domains, where
+    the trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
+    Rev. 56, 2014): at 24 directions its median error on PBall(4), a smoothed
+    square and a power cap is 2.6e-5 to 7.2e-4, Simpson's 4.7e-4 to 1.3e-3.
+    :func:`densities` takes the closed form instead where a class has one;
+    this quadrature stays the reference it is tested against.
 
     The Finsler ball is centrally symmetric: u(psi + pi) = -u(psi), and the
     integrand there is the same value with the two chord hits swapped.  So
     only the first half-circle of directions is cast (each chord once, both
-    hits from ``ray_hits_both``), and each node carries the Simpson weights
+    hits from ``ray_hits_both``), and each node carries the trapezoid weights
     of both psi and psi + pi.  ``n_dirs`` must be an integer >= 16; an odd
     count is rounded up to the next even one.
 
@@ -227,10 +227,8 @@ def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int) -> np.nda
     with np.errstate(over="ignore"):
         # within rounding of the boundary, directions whose F**2 overflows add 0
         integrand = ((a * b)[:, None] / np.maximum(F, _TINY).reshape(m, half) ** 2)
-    w = _simpson_weights(n_dirs)
-    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
-    # place in the batch
-    return 0.5 * np.einsum("ij,j->i", integrand, w[:half] + w[half:])
+    # half the trapezoid weight 2 pi / n_dirs of psi and of psi + pi; a per-row sum, the same in any batch
+    return (2.0 * np.pi / n_dirs) * integrand.sum(axis=1)
 
 
 def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96) -> float:
@@ -374,8 +372,8 @@ def region_area(
     refining a cell costs 16 cells of 7 points.  If cells remain unsettled
     when refinement stops and the last round still grew the total by more
     than a factor 1 + tol, the estimate is marked diverged.
-    An empty region has measure 0.  ``n_dirs`` must be an integer >= 16; it
-    is checked on entry, also for a region with no cells.
+    An empty region has measure 0.  ``n_dirs`` must be an integer >= 16, and
+    ``max_depth`` and ``max_points`` integers >= 1, all checked on entry.
 
     A region's estimate does not depend on which other regions share its
     rounds (:func:`_region_areas`).
@@ -407,6 +405,8 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     if not tol > 0:
         raise ValueError("tol must be positive")
     _require_dirs(n_dirs)
+    _require_count("max_depth", max_depth)
+    _require_count("max_points", max_points)
     tri, reg = _fan_cells(domain, V, counts)
     results = [QuadratureEstimate(0.0, 0.0, 0, False)] * len(counts)
     if len(tri) == 0:

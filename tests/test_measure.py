@@ -29,7 +29,6 @@ from hilbertgeom.measure import (
     _cell_nodes,
     _cell_values,
     _harmonic_halfwidth,
-    _simpson_weights,
     ball_area,
     ball_boundary_polygon,
     ball_frames,
@@ -107,11 +106,21 @@ _EXACT_CONICS = {
     "ellipse": Ellipse(center=(0.5, 0.0), semi_axes=(1.2, 0.7), rotation=0.3),
 }
 
+# the classes without a closed-form unit ball
+_RAY_CLASSES = {
+    "pball4": PBall(4.0),
+    "smoothed": SmoothedPolygon(regular_polygon(4).vertices, 0.1),
+    "power-cap": PowerCap(2.0),
+    "projective-disk": ProjectiveImage(unit_disk(), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0],
+                                                                   [0.2, 0.0, 1.0]])),
+}
+
 
 @pytest.mark.parametrize("name", list(_EXACT_POLYGONS))
 def test_polygon_unit_balls_match_the_ray_quadrature(name):
-    # a polygon's ball is a polygon: the Simpson rule converges to it at
-    # second order through the kinks, to about 6.5e-7 at 4096 directions
+    # a polygon's ball is a polygon: the trapezoid rule converges to it at
+    # second order through the kinks, to 7.8e-6 at 1024 directions and
+    # 5.7e-7 at 4096
     dom = _EXACT_POLYGONS[name]
     P = _points_with_gaps(dom, 40, 7)
     exact = dom._unit_ball_areas_exact(P)
@@ -127,10 +136,7 @@ def test_conic_unit_balls_match_the_ray_quadrature(name):
     assert np.all(np.abs(exact - unit_ball_areas(dom, P, n_dirs=64)) <= 1e-9 * exact)
 
 
-@pytest.mark.parametrize("dom", [PBall(4.0), SmoothedPolygon(regular_polygon(4).vertices, 0.1), PowerCap(2.0),
-                                 ProjectiveImage(unit_disk(), ProjectiveMap([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0],
-                                                                              [0.2, 0.0, 1.0]]))],
-                         ids=["pball4", "smoothed", "power-cap", "projective-disk"])
+@pytest.mark.parametrize("dom", list(_RAY_CLASSES.values()), ids=list(_RAY_CLASSES))
 def test_other_classes_take_densities_from_rays(dom):
     P = 0.3 * np.array([[0.1, 0.2], [-0.3, 0.1]]) + dom.interior_point()
     assert dom._unit_ball_areas_exact(P) is None
@@ -196,6 +202,16 @@ def test_bad_direction_counts_raise_on_entry(entry, n_dirs):
     # divided by 0, and an empty region returned 0 whatever the count
     with pytest.raises(ValueError, match="n_dirs|directions"):
         _DIRECTION_COUNT_ENTRIES[entry](n_dirs)
+
+
+@pytest.mark.parametrize("region", [[[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]], []], ids=["triangle", "empty"])
+@pytest.mark.parametrize("field, value", [("max_depth", 2.5), ("max_depth", 0), ("max_depth", -3), ("max_depth", True),
+                                          ("max_points", 0), ("max_points", True), ("max_points", 2.5)])
+def test_region_area_rejects_bad_limits_on_entry(region, field, value):
+    # a depth cap of 2.5 refined to depth 3, and a cap or budget below 1
+    # returned the fan estimate, far from tol, as converged
+    with pytest.raises(ValueError, match=field):
+        region_area(unit_disk(), region, tol=1e-9, **{field: value})
 
 
 @pytest.mark.parametrize("inner, tol", [(unit_disk(), 1e-9), (regular_polygon(4), 1e-5)], ids=["disk", "square"])
@@ -462,9 +478,10 @@ def test_quadrature_estimate_roundtrip():
     assert back == est
 
 
-def _reference_unit_ball_areas(domain, P, n_dirs):
-    """The full-circle Simpson sum the half-circle version replaced: every
-    adapted direction of the circle is cast on its own."""
+def _reference_unit_ball_areas(domain, P, n_dirs, weights=None):
+    """The full-circle sum the half-circle version replaced: every adapted
+    direction of the circle is cast on its own.  ``weights`` over the
+    ``n_dirs`` angles default to the trapezoid rule's 2 pi / n_dirs."""
     m = len(P)
     tau, nin, a, b = ball_frames(domain, P)
     psi = np.arange(n_dirs) * (2.0 * np.pi / n_dirs)
@@ -475,7 +492,7 @@ def _reference_unit_ball_areas(domain, P, n_dirs):
     tp, tm = domain.ray_hits_both(np.repeat(P, n_dirs, axis=0), U)
     F = 0.5 * np.hypot(U[:, 0], U[:, 1]) * (1.0 / tp + 1.0 / tm)
     integrand = (a * b)[:, None] / F.reshape(m, n_dirs) ** 2
-    return 0.5 * integrand @ _simpson_weights(n_dirs)
+    return 0.5 * integrand @ (np.full(n_dirs, 2.0 * np.pi / n_dirs) if weights is None else weights)
 
 
 @pytest.mark.parametrize("n_dirs", [18, 24, 64])
@@ -484,6 +501,77 @@ def test_unit_ball_areas_match_full_circle_sum(equivalence_domains, n_dirs):
         got = unit_ball_areas(dom, P, n_dirs=n_dirs)
         ref = _reference_unit_ball_areas(dom, P, n_dirs)
         assert np.all(np.abs(got - ref) <= tol * ref), name
+
+
+# unit_ball_areas(dom, _points_with_gaps(dom, 32, 0), n_dirs=512) on each of
+# _RAY_CLASSES: within 2.3e-5 of the 1024-direction values on the power cap,
+# 1.9e-6 on the smoothed square, 5.6e-7 on PBall(4) and 2.6e-13 on the
+# projective disk
+_UNIT_BALL_AREAS_512 = {
+    "pball4": [
+        3.582103265748162, 1.4235402430039465, 2.3664087401845784, 3.2350788569249995, 2.4714607274908005,
+        0.3246856801717557, 0.13216996957039404, 3.081425497860555, 2.136975842095989, 3.131092597780656,
+        1.9297670166899892, 3.154865114287327, 2.74678520620752, 0.47169952862491504, 3.4499565909720085,
+        1.7368080252737377, 4.229634885740717e-08, 0.3990675702757247, 0.16554268863206645, 1.439274918215277e-06,
+        0.8720343716921236, 2.442290624268996e-08, 1.0411701258720923e-05, 1.7625131749282721e-07,
+        8.320583425872166e-05, 0.1099744217054922, 1.4325888171541453e-05, 1.2492588941536758e-07,
+        5.334000498981728e-05, 4.901979736593446e-07, 8.374264295087178e-08, 0.0012522961230321498,
+    ],
+    "smoothed": [
+        1.8860025731708083, 0.5321783941320538, 1.1397691713965477, 1.5779784283230118, 1.299080804807157,
+        0.27649642584189105, 0.16418980202992747, 1.4822693134051623, 1.0303809096700554, 1.6377901481943655,
+        1.039629708944274, 1.500343342312288, 1.5481135438026923, 0.17669201147847435, 1.738929445494493,
+        0.9847258357865513, 2.1566413595656413e-07, 0.17181994866427971, 0.08526367795343348, 2.717262647729629e-06,
+        0.32382392839878227, 1.3596749956369365e-07, 2.119416737570068e-05, 7.343024526868359e-07,
+        0.0003721440294777488, 0.1497142753450713, 3.434729164744566e-07, 1.1381038651259119e-08,
+        6.0787602099117416e-05, 1.8804934530103119e-06, 8.41873582636496e-08, 0.004057446523224996,
+    ],
+    "power-cap": [
+        1.1270176794659603, 0.7030388483793802, 0.8088172884462997, 1.08103426702181, 0.6873786734973334,
+        0.12546949765159293, 0.05576552731538965, 0.850445110084712, 0.718462495227735, 1.010390553023851,
+        0.5222784052064755, 1.049822220323793, 0.8580360648498802, 0.17717106055035417, 1.0137078574359804,
+        0.8583526841110982, 1.7149855622365983e-08, 0.13060601621348, 0.15033968712009377, 8.451173014924979e-06,
+        0.3181062855902237, 5.022855975338791e-06, 2.77418585448556e-06, 6.473432587743499e-08,
+        3.747471351054796e-05, 0.12484449909257238, 7.343880102994215e-07, 1.6333414462129454e-08,
+        1.0878666790744018e-05, 1.7348601308445757e-07, 1.6158393638368033e-08, 0.005872969477854764,
+    ],
+    "projective-disk": [
+        3.207423554806626, 1.1037502043229812, 1.6209490117844192, 2.3873669830687883, 1.9263916604687645,
+        0.2394489647160569, 0.18174419152764662, 2.5700894565027093, 2.2051893939208322, 2.3683554409546947,
+        1.478397500862479, 2.295522370726615, 2.2075971672654826, 0.23093522159356963, 2.9108429814788974,
+        1.383680148132869, 4.1712395930797584e-08, 0.348680735959923, 0.11657628656522172, 1.7034095640777217e-06,
+        0.46854171193089444, 2.4750385955101878e-08, 1.0688651492577717e-05, 2.3807961976862045e-07,
+        0.00012659117091969087, 0.1592028360040063, 8.048467525290666e-07, 1.9901340607727846e-08,
+        4.281335366285966e-05, 6.427556171285681e-07, 6.38128293272193e-08, 0.0019173674350508138,
+    ],
+}
+
+
+def _simpson_weights(n_dirs):
+    w = np.tile([2.0 / 3.0, 4.0 / 3.0], n_dirs // 2)
+    return w * (2.0 * np.pi / n_dirs)
+
+
+@pytest.mark.parametrize("n_dirs", [24, 32])
+@pytest.mark.parametrize("name", list(_RAY_CLASSES))
+def test_trapezoid_unit_balls_are_no_worse_than_simpson(name, n_dirs):
+    # the polar integrand is smooth and periodic in psi, where the trapezoid
+    # rule converges geometrically; the points reach 1e-6 of the boundary
+    dom = _RAY_CLASSES[name]
+    P = _points_with_gaps(dom, 32, 0)
+    ref = np.array(_UNIT_BALL_AREAS_512[name])
+    trapezoid = np.abs(unit_ball_areas(dom, P, n_dirs=n_dirs) / ref - 1.0)
+    simpson = np.abs(_reference_unit_ball_areas(dom, P, n_dirs, _simpson_weights(n_dirs)) / ref - 1.0)
+    assert np.median(trapezoid) <= np.median(simpson)
+
+
+def test_pball_ball_area_is_within_1e_4_of_256_density_directions():
+    # the reference is ball_area(PBall(4.0), (0.1, 0.0), 2.5) with
+    # measure._BALL_DENSITY_DIRS set to 256, also at depth 0; at 512 it
+    # moves by 5.4e-9
+    est = ball_area(PBall(4.0), (0.1, 0.0), 2.5)
+    assert est.depth == 0 and not est.diverged
+    assert abs(est.value - 30.361208762104354) <= 1e-4 * 30.361208762104354
 
 
 def _chord_profile(t_plus, t_minus, t):

@@ -298,7 +298,7 @@ def _reference_run_ladder(domain, V, i, tol, depth, piece_kwargs):
     return CornerLadder(partial=partial, tail=tail, increments=tuple(increments), diverged=False, error=err)
 
 
-def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_points=6000, n_dirs=24):
+def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_points=6000, n_dirs=PIECE_DIRS):
     kw = {"max_depth": max_depth, "max_points": max_points, "n_dirs": n_dirs}
     hex_est = _reference_region_area(domain, corner_decomposition(domain, T, 0.5).hexagon, tol, **kw)
     V = T.vertices()
