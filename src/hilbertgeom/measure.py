@@ -57,7 +57,7 @@ _BALL_DENSITY_DIRS = 32
 # disk balls, which both rules integrate to rounding, differ from the level
 # with twice the nodes of each rule by at most 1.4 ulps per term so scaled
 # (R in [0.2, 6], 30 balls on the disk and an ellipse)
-_BALL_ROUNDING = 16.0 * np.finfo(float).eps
+_BALL_ROUNDING = 16.0 * float(np.finfo(float).eps)
 # eight probe directions k * pi/4: four chords, the second four directions
 # the exact negations of the first
 _PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
@@ -317,20 +317,18 @@ def _validate_region(domain: ConvexDomain, V: np.ndarray, counts=None) -> tuple:
 
 
 def _fan_cells(domain: ConvexDomain, V: np.ndarray, counts) -> tuple:
-    """Fan triangulation of each checked convex region about its vertex
-    centroid, without degenerate triangles: the cells (n, 3, 2) and the
-    region of each, region-major.  A region of at most two vertices has none.
+    """Fan triangulation of each checked convex region about one of its
+    vertices, the apex, without degenerate triangles: the cells (n, 3, 2) and
+    the region of each, region-major.  The apex is the first vertex i of the
+    shortest diagonal V[i] V[i+2], so a quadrilateral is split along its
+    shorter diagonal; the two cells at the apex have area 0 and are dropped,
+    so an n-gon gets n - 2 cells, fewer if some are degenerate.  A region of
+    at most two vertices has none.
     """
-    counts = np.asarray(counts, dtype=int)
     vreg, nxt = _validate_region(domain, V, counts)
-    first = np.cumsum(counts) - counts
-    centroid = np.empty((len(counts), 2))
-    # a set, not np.unique, which imports numpy.ma; a mean over a gathered
-    # axis rounds as each region's own V.mean(axis=0) does, np.add.reduceat not
-    for k in set(counts[counts > 0].tolist()):
-        of_k = np.flatnonzero(counts == k)
-        centroid[of_k] = V[first[of_k, None] + np.arange(k)].mean(axis=1)
-    tri = np.stack([centroid[vreg], V, V[nxt]], axis=1)
+    D = V[nxt[nxt]] - V
+    apex = np.lexsort((np.hypot(D[:, 0], D[:, 1]), vreg))[np.flatnonzero(np.diff(vreg, prepend=-1))]
+    tri = np.stack([V[apex[np.searchsorted(vreg[apex], vreg)]], V, V[nxt]], axis=1)
     keep = _tri_areas(tri) > 1e-16 * (1.0 + domain.scale()) ** 2
     return tri[keep], vreg[keep]
 
@@ -361,7 +359,9 @@ def region_area(
 ) -> QuadratureEstimate:
     """Hilbert measure of a convex polygonal region inside the domain.
 
-    Fan-triangulates the region, then refines cells by midpoint subdivision
+    Fan-triangulates the region about an end of its shortest diagonal
+    V[i] V[i+2] (the shorter diagonal of a quadrilateral), which gives an
+    n-gon n - 2 cells, then refines cells by midpoint subdivision
     until the local Richardson error (coarse cell value against the sum of
     its four children) drops below ``tol`` times the cell value.  Every cell
     is valued by Radon's 7-point rule, area times a weighted sum of the

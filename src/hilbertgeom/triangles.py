@@ -2,15 +2,16 @@
 
 An ideal triangle has its three vertices on the boundary; its Hilbert area
 integrates the measure density over the open hull.  The density blows up at
-each ideal vertex, so the area is assembled from a compact central hexagon
-plus three corner ladders: nested cuts parallel to the opposite side at
-geometric side fractions 2^-k peel the corner into trapezoids whose areas
-form a (nearly) geometric series.  Summing the trapezoids and extrapolating
-the tail gives the corner area; a ladder whose increments stop decaying is
-reported as diverged, which is exactly the non-hyperbolic signature the
-polygon domains must show.  Refinement of a triangle's pieces stops once one
-ladder has read diverged in two rounds in a row, so the value of a diverged
-triangle is the partial sum at the round where its verdict settled.
+each ideal vertex, so the area is assembled from the compact medial triangle
+(the triangle of the side midpoints) plus three corner ladders: nested cuts
+parallel to the opposite side at geometric side fractions 2^-k peel the
+corner into trapezoids whose areas form a (nearly) geometric series.
+Summing the trapezoids and extrapolating the tail gives the corner area; a
+ladder whose increments stop decaying is reported as diverged, which is
+exactly the non-hyperbolic signature the polygon domains must show.
+Refinement of a triangle's pieces stops once one ladder has read diverged in
+three rounds in a row, so the value of a diverged triangle is the partial
+sum at the round where its verdict settled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
 LADDER_DEPTH = 12
-# refinement of each hexagon and ladder piece (7-point cells, see
+# refinement of the medial triangle and each ladder piece (7-point cells, see
 # measure.region_area): depth cap, budget of density points and unit-ball
 # directions per density point on the classes without a closed-form ball
 PIECE_MAX_DEPTH = 9
@@ -35,9 +36,10 @@ PIECE_DIRS = 24
 _SIDE_SAMPLES = 64
 # refinement rounds in a row in which one corner ladder must read non-Cauchy
 # on its pieces' running totals before the triangle stops refining: on the
-# square's corner-offset triangles a ladder that converges can read
-# non-Cauchy on the fan cells alone, and stopping there would flip its verdict
-_SETTLED_ROUNDS = 2
+# square's corner-offset triangles a ladder that converges reads non-Cauchy
+# on the fan cells and after the first round, and stopping there would flip
+# its verdict
+_SETTLED_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -67,21 +69,6 @@ class IdealTriangle:
             "validity": self.validity,
             "invalid_reason": self.invalid_reason,
         }
-
-
-@dataclass(frozen=True)
-class CornerDecomposition:
-    """Cut of an ideal triangle into three corner triangles and a hexagon.
-
-    Corner i keeps vertex i and the two cut points at fraction ``s`` along
-    the adjacent sides; because both cuts use the same fraction, each cut
-    segment is parallel to the opposite side.  With s = 1/2 the hexagon
-    degenerates to the medial triangle.
-    """
-
-    corners: tuple  # three (3, 2) arrays: vertex, cut toward next, cut toward previous
-    hexagon: np.ndarray
-    cut_fraction: float
 
 
 def _triangle_vertices(domain: ConvexDomain, params) -> np.ndarray:
@@ -123,32 +110,6 @@ def ideal_triangle_from_points(domain: ConvexDomain, points) -> IdealTriangle:
             reason = "side in boundary"
             break
     return IdealTriangle(a=V[0], b=V[1], c=V[2], validity=validity, invalid_reason=reason)
-
-
-def corner_decomposition(domain: ConvexDomain, T: IdealTriangle, s: float) -> CornerDecomposition:
-    """Split a valid ideal triangle at side fraction ``s`` from each vertex.
-
-    ``s`` must lie in (0, 1/2]; beyond 1/2 the central piece is no longer a
-    hexagon and the pieces stop partitioning the triangle.
-    """
-    if not T.validity:
-        raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
-    if not (0.0 < s <= 0.5):
-        raise ValueError("cut fraction must lie in (0, 1/2]")
-    V = T.vertices()
-    corners = []
-    for i in range(3):
-        a, b, c = V[i], V[(i + 1) % 3], V[(i + 2) % 3]
-        corners.append(np.stack([a, a + s * (b - a), a + s * (c - a)]))
-    hex_pts = []
-    for i in range(3):
-        a, b = V[i], V[(i + 1) % 3]
-        hex_pts.append(a + s * (b - a))
-        hex_pts.append(b + s * (a - b))
-    hexagon = np.asarray(hex_pts)
-    if s == 0.5:
-        hexagon = hexagon[::2]
-    return CornerDecomposition(corners=tuple(corners), hexagon=hexagon, cut_fraction=s)
 
 
 def _ladder_piece(V: np.ndarray, i, s_out, s_in) -> np.ndarray:
@@ -230,14 +191,15 @@ def ideal_triangle_area_detail(
     tol: float = 1e-3,
     ladder_depth: int = LADDER_DEPTH,
 ):
-    """Hexagon estimate plus the three corner ladders of an ideal triangle.
+    """Medial-triangle estimate plus the three corner ladders of an ideal
+    triangle.
 
     Corner ladder i cuts at side fractions 2^-1 ... 2^-ladder_depth toward
     vertex i, so it has ``ladder_depth - 1`` trapezoids; its tail test needs
     three of them, so ``ladder_depth`` must be at least 4.  The trapezoids
     of all three ladders are built in one broadcast over the fractions, and
-    the hexagon and every trapezoid are refined as one cell array, one
-    density batch per round (:func:`measure._region_areas`).  Refinement
+    the medial triangle and every trapezoid are refined as one cell array,
+    one density batch per round (:func:`measure._region_areas`).  Refinement
     stops once one ladder reads non-Cauchy on its pieces' running totals in
     ``_SETTLED_ROUNDS`` rounds in a row, and every piece keeps its total of
     that round: a diverged ladder's partial is the one at the round where
@@ -252,9 +214,9 @@ def ideal_triangle_area_detail(
         raise ValueError("ladder_depth must be at least 4")
     fractions = 0.5 ** np.arange(1, ladder_depth + 1)
     rungs = ladder_depth - 1
-    hexagon = corner_decomposition(domain, T, 0.5).hexagon
-    pieces = _ladder_piece(T.vertices(), np.arange(3)[:, None], fractions[:-1], fractions[1:])
-    V = np.concatenate([hexagon, pieces.reshape(-1, 2)])
+    V = T.vertices()
+    medial = 0.5 * (V + np.roll(V, -1, axis=0))
+    pieces = _ladder_piece(V, np.arange(3)[:, None], fractions[:-1], fractions[1:])
     running = np.zeros(1 + 3 * rungs)
     streak = np.zeros(3, dtype=int)
 
@@ -264,7 +226,8 @@ def ideal_triangle_area_detail(
             streak[i] = streak[i] + 1 if _non_cauchy(mu) else 0
         return streak.max() >= _SETTLED_ROUNDS
 
-    estimates = _region_areas(domain, V, [len(hexagon)] + [4] * 3 * rungs, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS,
+    regions = np.concatenate([medial, pieces.reshape(-1, 2)])
+    estimates = _region_areas(domain, regions, [3] + [4] * 3 * rungs, tol, PIECE_MAX_DEPTH, PIECE_MAX_POINTS,
                               PIECE_DIRS, stop=settled)
     ladders = tuple(_ladder(estimates[1 + i * rungs: 1 + (i + 1) * rungs]) for i in range(3))
     return estimates[0], ladders
@@ -278,20 +241,20 @@ def ideal_triangle_area(
 ) -> QuadratureEstimate:
     """Hilbert area of a valid ideal triangle.
 
-    Hexagon quadrature plus corner ladders; the ladder tails are geometric
-    extrapolations, and any non-Cauchy ladder marks the whole estimate as
-    diverged with the partial sum as a lower bound: the partial at the
-    refinement round where the verdict settled
+    Medial-triangle quadrature plus corner ladders; the ladder tails are
+    geometric extrapolations, and any non-Cauchy ladder marks the whole
+    estimate as diverged with the partial sum as a lower bound: the partial
+    at the refinement round where the verdict settled
     (:func:`ideal_triangle_area_detail`).
     """
-    hex_est, ladders = ideal_triangle_area_detail(domain, T, tol=tol, ladder_depth=ladder_depth)
-    value = hex_est.value + sum(lad.partial + lad.tail for lad in ladders)
-    err = hex_est.error_bound + sum(lad.error for lad in ladders)
+    medial, ladders = ideal_triangle_area_detail(domain, T, tol=tol, ladder_depth=ladder_depth)
+    value = medial.value + sum(lad.partial + lad.tail for lad in ladders)
+    err = medial.error_bound + sum(lad.error for lad in ladders)
     diverged = any(lad.diverged for lad in ladders)
     return QuadratureEstimate(
         value=float(value),
         error_bound=float(err),
-        depth=max(hex_est.depth, ladder_depth),
+        depth=max(medial.depth, ladder_depth),
         diverged=bool(diverged),
     )
 

@@ -28,7 +28,9 @@ from hilbertgeom.measure import (
     _ball_level,
     _cell_nodes,
     _cell_values,
+    _fan_cells,
     _harmonic_halfwidth,
+    _tri_areas,
     ball_area,
     ball_boundary_polygon,
     ball_frames,
@@ -238,6 +240,7 @@ def test_klein_ball_areas_closed_form():
         assert not est.diverged
         assert est.depth == 0
         assert est.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert type(est.value) is float and type(est.error_bound) is float
 
 
 def test_ball_area_isometry_invariant():
@@ -253,6 +256,7 @@ def test_ball_area_isometry_invariant():
 def test_ball_area_pball_sane():
     est = ball_area(PBall(4.0), (0.1, 0.0), 2.0)
     assert not est.diverged
+    assert type(est.value) is float and type(est.error_bound) is float
     assert np.isfinite(est.value)
     assert est.value > 0.0
 
@@ -321,6 +325,52 @@ def test_cell_rule_is_exact_to_degree_five():
             return x ** a * y ** b
         exact = _collapsed_gauss(T, f)
         assert abs(_cell_rule(T, f) - exact) > 1e-6 * abs(exact), (a, b)
+
+
+def _convex_polygon(rng, n, collinear):
+    """A convex n-gon inside the unit disk, one vertex per sector of an
+    ellipse; with ``collinear``, an (n - 1)-gon with a point inserted on one
+    edge."""
+    k = n - 1 if collinear else n
+    angles = (np.arange(k) + rng.uniform(0.1, 0.9, k)) * (2.0 * np.pi / k)
+    V = np.stack([0.6 * np.cos(angles), 0.3 * np.sin(angles)], axis=1)
+    if collinear:
+        i = rng.integers(k)
+        V = np.insert(V, i + 1, V[i] + rng.uniform(0.2, 0.8) * (V[(i + 1) % k] - V[i]), axis=0)
+    return V + rng.uniform(-0.2, 0.2, 2)
+
+
+# three vertices with one on the edge of the other two are no polygon
+@pytest.mark.parametrize("n, collinear", [(n, c) for n in range(3, 9) for c in (False, True) if n > 3 or not c])
+def test_fan_cells_triangulate_an_n_gon_in_n_minus_2_cells(n, collinear):
+    disk = unit_disk()
+    rng = np.random.default_rng(100 * n + collinear)
+    for _ in range(20):
+        V = _convex_polygon(rng, n, collinear)
+        cells, reg = _fan_cells(disk, V, [n])
+        # one collinear vertex makes at most one fan cell degenerate
+        assert n - 2 - collinear <= len(cells) <= n - 2
+        assert np.all(reg == 0)
+        assert np.all((cells[:, :, None, :] == V[None, None, :, :]).all(axis=-1).any(axis=-1))
+        shoelace = 0.5 * abs(np.sum(V[:, 0] * np.roll(V[:, 1], -1) - np.roll(V[:, 0], -1) * V[:, 1]))
+        assert abs(_tri_areas(cells).sum() - shoelace) <= 1e-14 * shoelace
+        if n == 4 and not collinear:
+            # both cells hold the ends of the shorter diagonal
+            i = int(np.hypot(*(V[1] - V[3])) < np.hypot(*(V[0] - V[2])))
+            for cell in cells:
+                for end in (V[i], V[i + 2]):
+                    assert (cell == end).all(axis=1).any()
+
+
+def test_fan_cells_of_regions_below_three_vertices_are_empty():
+    disk = unit_disk()
+    T = np.array([[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]])
+    for V in (np.empty((0, 2)), T[:1], T[:2]):
+        cells, reg = _fan_cells(disk, V, [len(V)])
+        assert cells.shape == (0, 3, 2) and reg.shape == (0,)
+    cells, reg = _fan_cells(disk, np.concatenate([T[:1], T[:2], T]), [0, 1, 2, 3])
+    assert len(cells) == 1 and reg.tolist() == [3]
+    assert {tuple(v) for v in cells[0]} == {tuple(v) for v in T}
 
 
 def test_region_area_additive_and_orientation_free():

@@ -23,7 +23,6 @@ from hilbertgeom.measure import (
     QuadratureEstimate,
     _split4,
     _tri_areas,
-    _validate_region,
     densities,
     region_area,
 )
@@ -36,18 +35,18 @@ from hilbertgeom.triangles import (
     TriangleSamplerConfig,
     _ladder_piece,
     _sample_triples,
-    corner_decomposition,
     ideal_triangle_area,
     ideal_triangle_area_detail,
     make_ideal_triangle,
     sup_area_search,
 )
 
-# frozen quadrature outputs for the default settings (7-point cell rule,
-# closed-form densities on the disk and the square)
-DISK_SYMMETRIC_AREA = 3.1415336861668735
-SQUARE_EDGE_TRIPLE_AREA = 1.6152329604173248
-DISK_SUP_BUDGET2_SEED0 = 3.141528252494939
+# frozen quadrature outputs for the default settings (7-point cell rule on
+# fans about an end of each piece's shortest diagonal, closed-form densities
+# on the disk and the square), each read from the call its test makes
+DISK_SYMMETRIC_AREA = 3.1415205189626687
+SQUARE_EDGE_TRIPLE_AREA = 1.6152305408962038
+DISK_SUP_BUDGET2_SEED0 = 3.1415221050431237
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -93,8 +92,8 @@ def test_square_edge_midpoint_triple_converges():
 
 
 # square triangle areas from a deep run: PIECE_MAX_POINTS 60 000, tol 1e-5,
-# 16 ladder rungs
-SQUARE_DEEP_AREAS = {(0.125, 0.375, 0.625): 1.6152345197029205, (0.05, 0.38, 0.71): 2.640719467171726}
+# 16 ladder rungs (the second half of the test below)
+SQUARE_DEEP_AREAS = {(0.125, 0.375, 0.625): 1.6152345310672385, (0.05, 0.38, 0.71): 2.6407189459389606}
 
 
 @pytest.mark.parametrize("ts", list(SQUARE_DEEP_AREAS))
@@ -110,27 +109,14 @@ def test_square_error_bound_covers_its_error(monkeypatch, ts):
     assert abs(deep.value - SQUARE_DEEP_AREAS[ts]) <= 1e-9 * deep.value
 
 
-def test_corner_decomposition_geometry():
-    disk, tri = _symmetric_disk_triangle()
-    a, b, c = tri.vertices()
-    dec = corner_decomposition(disk, tri, 0.25)
-    assert np.asarray(dec.hexagon).shape == (6, 2)
-    assert np.allclose(dec.hexagon[0], a + 0.25 * (b - a), atol=1e-12)
-    assert dec.cut_fraction == 0.25
-    # the medial cut degenerates the hexagon to a triangle
-    medial = corner_decomposition(disk, tri, 0.5)
-    assert np.asarray(medial.hexagon).shape == (3, 2)
-    for bad in (0.0, 0.6, -0.1):
-        with pytest.raises(ValueError):
-            corner_decomposition(disk, tri, bad)
-
-
 def test_corner_decomposition_partitions_area():
+    # the medial triangle and the three corner triangles it cuts off
     disk, tri = _symmetric_disk_triangle()
-    dec = corner_decomposition(disk, tri, 0.5)
-    whole = region_area(disk, tri.vertices(), tol=1e-2)
-    pieces = [region_area(disk, dec.hexagon, tol=1e-2)]
-    pieces += [region_area(disk, np.asarray(cor), tol=1e-2) for cor in dec.corners]
+    V = tri.vertices()
+    mid = 0.5 * (V + np.roll(V, -1, axis=0))
+    whole = region_area(disk, V, tol=1e-2)
+    pieces = [region_area(disk, mid, tol=1e-2)]
+    pieces += [region_area(disk, [V[i], mid[i], mid[i - 1]], tol=1e-2) for i in range(3)]
     total = sum(p.value for p in pieces)
     assert total == pytest.approx(whole.value, rel=2e-2)
 
@@ -209,16 +195,13 @@ def test_ladder_depth_below_four_raises():
 
 def _reference_region_area(domain, region, tol, max_depth, max_points, n_dirs):
     V = as_points(region)
-    _validate_region(domain, V)
     cell_points = len(_CELL_WEIGHTS)
 
     def rule(T):
         h = densities(domain, np.einsum("kv,nvd->nkd", _CELL_NODES, T).reshape(-1, 2), n_dirs=n_dirs, validate=False)
         return _tri_areas(T) * np.einsum("ij,j->i", h.reshape(-1, cell_points), _CELL_WEIGHTS)
 
-    centroid = V.mean(axis=0)
-    tris = np.stack([np.repeat(centroid[None, :], len(V), axis=0), V, np.roll(V, -1, axis=0)], axis=1)
-    tris = tris[_tri_areas(tris) > 1e-16 * (1.0 + domain.scale()) ** 2]
+    tris, _ = measure._fan_cells(domain, V, [len(V)])
 
     def prepare(T, iself=None):
         if iself is None:
@@ -300,9 +283,9 @@ def _reference_run_ladder(domain, V, i, tol, depth, piece_kwargs):
 
 def _reference_area_detail(domain, T, tol=1e-3, ladder_depth=12, max_depth=9, max_points=6000, n_dirs=PIECE_DIRS):
     kw = {"max_depth": max_depth, "max_points": max_points, "n_dirs": n_dirs}
-    hex_est = _reference_region_area(domain, corner_decomposition(domain, T, 0.5).hexagon, tol, **kw)
     V = T.vertices()
-    return hex_est, tuple(_reference_run_ladder(domain, V, i, tol, ladder_depth, kw) for i in range(3))
+    medial = _reference_region_area(domain, 0.5 * (V + np.roll(V, -1, axis=0)), tol, **kw)
+    return medial, tuple(_reference_run_ladder(domain, V, i, tol, ladder_depth, kw) for i in range(3))
 
 
 _SQUARE4 = regular_polygon(4)
@@ -329,20 +312,21 @@ _CORNERS = _SQUARE4.vertex_params()[:3]
 )
 def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
     tri = make_ideal_triangle(dom, *ts)
-    hex_est, ladders = ideal_triangle_area_detail(dom, tri)
+    medial, ladders = ideal_triangle_area_detail(dom, tri)
     reference = _reference_area_detail(dom, tri)
     if diverged:
         # refinement stops once a ladder's divergence has settled, so the
         # pieces keep earlier totals; each ladder's verdict is the same
         assert [lad.diverged for lad in ladders] == [lad.diverged for lad in reference[1]]
     else:
-        assert (hex_est, ladders) == reference
+        assert (medial, ladders) == reference
     assert any(lad.diverged for lad in ladders) == diverged
 
 
-# density points the centroid rule with a budget of 1500 cells evaluated on
-# each capped piece of a corner-offset square (the fan's 4 cells and their
-# children, then 374 refined cells of 16 points)
+# density points the one-point cell rule (each cell valued at its centroid)
+# with a budget of 1500 cells evaluated on each capped piece of a
+# corner-offset square, when pieces were fanned about their vertex centroid
+# (the fan's 4 cells and their children, then 374 refined cells of 16 points)
 CENTROID_RULE_PIECE_POINTS = 6004
 
 
@@ -417,9 +401,10 @@ def test_batch_raises_what_its_first_bad_region_raises():
 # refines to its budget, computed with the stop disabled in a copy of the
 # code (10 density batches, 198 933 points, partial 110.9226736...)
 CORNER_LADDER_VERDICTS = {1e-6: [True, False, False], -1e-6: [False, False, True]}
-# density points of the fan cells with their children and of the one round
-# of refinement before the corner ladder's verdict settles
-CORNER_STOP_POINTS = 17381
+# density points of the fan cells with their children and of the two rounds
+# of refinement before the corner ladder's verdict settles, counted by the
+# test below
+CORNER_STOP_POINTS = 29785
 
 
 @pytest.mark.parametrize("offset", list(CORNER_LADDER_VERDICTS), ids=["square-corner+", "square-corner-"])
@@ -427,7 +412,7 @@ def test_corner_triangle_stops_once_its_divergence_settles(monkeypatch, offset):
     tri = make_ideal_triangle(_SQUARE4, *(_CORNERS + offset))
     rows = _counting_densities(monkeypatch)
     _, ladders = ideal_triangle_area_detail(_SQUARE4, tri)
-    assert len(rows) <= 2
+    assert len(rows) <= 3
     assert sum(rows) <= CORNER_STOP_POINTS
     assert [lad.diverged for lad in ladders] == CORNER_LADDER_VERDICTS[offset]
     est = ideal_triangle_area(_SQUARE4, tri)
@@ -437,11 +422,11 @@ def test_corner_triangle_stops_once_its_divergence_settles(monkeypatch, offset):
 
 
 def test_settled_disk_triangle_takes_one_density_batch(monkeypatch):
-    # all 34 pieces settle on their fan cells (3 + 33 * 4), so the fan cells
+    # all 34 pieces settle on their fan cells (1 + 33 * 2), so the fan cells
     # and their children, 5 cells of 7 points each, are the only batch
     rows = _counting_densities(monkeypatch)
     ideal_triangle_area_detail(unit_disk(), make_ideal_triangle(unit_disk(), 0.2, 2.3, 4.3))
-    assert rows == [(3 + 33 * 4) * 5 * len(_CELL_WEIGHTS)] == [4725]
+    assert rows == [(1 + 33 * 2) * 5 * len(_CELL_WEIGHTS)] == [2345]
 
 
 @pytest.mark.parametrize(
