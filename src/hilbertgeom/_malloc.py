@@ -2,14 +2,18 @@
 on what earlier calls freed.
 
 The solvers allocate and free numpy temporaries of 0.1 to a few MB on every
-call (the ray arrays of ``unit_ball_areas`` chunks).  glibc serves a block above its mmap threshold with a fresh mapping
-and returns a free heap top above its trim threshold to the kernel; both
-thresholds start at 128 KiB and rise only when a large mapped block happens
-to be freed.  So whether a call reuses the pages of the last one or faults
-them in again depends on what earlier calls happened to free: one
-``ball_area`` of the disk faulted from 0 to about 21 000 fresh pages
-(80 MB), depending on the calls before it and, after the same calls, on
-the process.
+call (the ray arrays of ``unit_ball_areas`` chunks).  glibc serves a block
+above its mmap threshold with a fresh mapping and returns a free heap top
+above its trim threshold to the kernel; both thresholds start at 128 KiB
+and rise only when a large mapped block happens to be freed.  So whether a
+call reuses the pages of the last one or faults them in again depends on
+what earlier calls happened to free.  Without the pin, one
+``ball_area(PBall(4), (0.1, 0.2), 3)`` faulted in 7 000 to 10 000 fresh
+pages per call, and one ideal triangle on PBall(4) 900 to 2 900; with it,
+at most about 1 000 and 10 (x86-64, glibc 2.36, numpy 2.4.6).  A disk
+ball, whose unit balls are closed form, faults in about none either way.
+On the same host the benchmark's ``ideal-area`` workload ran about 10%
+fewer operations per second without the pin.
 
 Pinned at the ceilings glibc's own rule climbs to on 64-bit hosts (32 MiB
 for mmap, twice that for trimming), blocks below 32 MiB stay on the heap

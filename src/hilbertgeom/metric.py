@@ -187,29 +187,21 @@ def boundary_biased_points(
     shape,
     rng: np.random.Generator,
     approach: float = 1e-4,
-    windows=None,
 ) -> np.ndarray:
     """Random interior points biased toward the boundary.
 
-    Each point picks a boundary parameter (uniform over the period, or over
-    the window assigned to its trailing axis slot) and a gap fraction that is
-    log-uniform in [approach, 1]; it then sits at fraction (1 - gap) of the
-    way from the domain anchor to the boundary.  Samples are drawn from the
-    stream in one block, so for a fixed seed the first k points are the same
-    for every budget >= k.
+    Each point picks a boundary parameter uniform over the period and a gap
+    fraction that is log-uniform in [approach, 1]; it then sits at fraction
+    (1 - gap) of the way from the domain anchor to the boundary.  Samples
+    are drawn from the stream in one block, so for a fixed seed the first k
+    points are the same for every budget >= k.
     """
     if not (0.0 < approach < 1.0):
         raise ValueError("approach must lie in (0, 1)")
     shape = tuple(np.atleast_1d(shape).astype(int))
     U = rng.random(shape + (2,))
     flat = U.reshape(-1, 2)
-    if windows is None:
-        params = flat[:, 0] * domain.param_period
-    else:
-        slots = np.unravel_index(np.arange(len(flat)), shape)[-1]
-        W = np.asarray(windows, dtype=float).reshape(-1, 2)
-        wi = slots % len(W)
-        params = W[wi, 0] + flat[:, 0] * (W[wi, 1] - W[wi, 0])
+    params = flat[:, 0] * domain.param_period
     gap = approach ** flat[:, 1]
     anchor = domain.interior_point()
     # the domain is convex and the anchor interior, so the ray from the
@@ -235,7 +227,6 @@ class FourPointConfig:
     budget: int = 2000
     seed: int = 0
     approach: float = 1e-4
-    windows: tuple = None  # optional per-slot boundary parameter windows
 
     def __post_init__(self):
         _require_count("budget", self.budget)
@@ -249,7 +240,6 @@ class ThinTriangleConfig:
     side_points: int = 8
     seed: int = 0
     approach: float = 1e-4
-    windows: tuple = None
 
     def __post_init__(self):
         _require_count("budget", self.budget)
@@ -301,9 +291,7 @@ def delta_four_point(domain: ConvexDomain, config: FourPointConfig = FourPointCo
     budget for a fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    quads = boundary_biased_points(
-        domain, (config.budget, 4), rng, approach=config.approach, windows=config.windows
-    )
+    quads = boundary_biased_points(domain, (config.budget, 4), rng, approach=config.approach)
     defects = _four_point_defects(domain, quads)
     k = int(np.argmax(defects))
     witness = {"kind": "four-point", "points": quads[k].tolist()}
@@ -431,9 +419,7 @@ def delta_thin(domain: ConvexDomain, config: ThinTriangleConfig = ThinTriangleCo
     witness.
     """
     rng = np.random.default_rng(config.seed)
-    tris = boundary_biased_points(
-        domain, (config.budget, 3), rng, approach=config.approach, windows=config.windows
-    )
+    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach)
     values, witnesses = _thinness_many(domain, tris, config.side_points)
     k = int(np.argmax(values))
     return DeltaEstimate(delta_hat=float(max(values[k], 0.0)), witness=witnesses[k], samples_used=config.budget)

@@ -12,8 +12,9 @@ alpha and a transposition replaces it by 1-alpha.  alpha is reported in
 that gives alpha > 1/2, its mirror.
 
 Boundary graphs describe the boundary near a tangency point as a convex
-function over the supporting line; a log-log fit of that function yields
-the contact exponent that the regularity bounds consume.
+function over the supporting line, sampled by the domain's own chord cast;
+a log-log fit of that function yields the contact exponent that the
+regularity bounds consume.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
 from .triangles import IdealTriangle
 
 GRAPH_SAMPLES = 4097
-_GRAPH_BISECT_ITERS = 60
 _EXIT_WITNESS_SAMPLES = 1024
 FIT_DEAD_ZONE = 0.01  # fraction of rho excluded around the tangency
 FIT_WINDOW = 1.0 / 3.0  # fraction of rho used by the exponent fit
@@ -97,9 +97,10 @@ def boundary_graph(
 
     ``frame`` gives the supporting-line direction (second row, if a full
     rotation is passed, is the inward normal).  For each grid abscissa the
-    boundary height f(x) = inf{y >= 0 : (x, y) in the closure} is located
-    by bisection along the vertical line, which also handles flat boundary
-    arcs where the graph is identically zero.
+    boundary height f(x) = inf{y >= 0 : (x, y) in the closure} is the hit of
+    the ray cast straight down from an interior point above it
+    (:meth:`ConvexDomain.ray_hits_both`), clamped at 0 so that flat boundary
+    arcs give a graph that is identically zero.
     """
     p0 = as_point(point)
     R = _coerce_frame(frame)
@@ -134,16 +135,12 @@ def boundary_graph(
         y_hi = np.where(inside, y_hi, y_mid + 10.0 * nudge)
         if not np.all(domain.gauge(world(xs, y_hi)) < 0.0):
             raise PreconditionViolated("could not find interior points over the strip")
-    y_lo = np.full(n, -1e-9 * sc)
-    if np.any(domain.gauge(world(xs, y_lo)) < 0.0):
+    # cast straight down (-y in the frame) from each interior start
+    t = domain.ray_hits_both(world(xs, y_hi), np.broadcast_to(-R[1], (n, 2)))[0]
+    f = y_hi - t
+    if np.any(f < -1e-9 * sc):
         raise PreconditionViolated("domain extends below the supporting line")
-    for _ in range(_GRAPH_BISECT_ITERS):
-        y_m = 0.5 * (y_lo + y_hi)
-        g = domain.gauge(world(xs, y_m))
-        in_dom = g < 0.0
-        y_hi = np.where(in_dom, y_m, y_hi)
-        y_lo = np.where(in_dom, y_lo, y_m)
-    f = np.maximum(0.5 * (y_lo + y_hi), 0.0)
+    f = np.maximum(f, 0.0)
 
     s = (f[-1] - f[0]) / (2.0 * rho)
     b = float(f[0] + s * rho)

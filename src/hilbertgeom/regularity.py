@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import as_point
 from .errors import InsufficientSignal, NotConvex, PreconditionViolated
+from .normalize import boundary_graph
 
 GRID_SIZE = 1025
 MIN_GRID = 65
@@ -244,9 +246,6 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
     A flat graph (polygon edge) yields the degenerate chain with the
     ``non_strictly_convex`` flag set.
     """
-    from .domains import as_point
-    from .normalize import boundary_graph
-
     p0 = as_point(point)
     line = domain.supporting_line(p0)
     x_dir = np.array([-line.v, line.u])

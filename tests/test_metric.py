@@ -234,7 +234,7 @@ def _reference_triangle_thinness(domain, a, b, c, side_points=8):
 
 def _reference_delta_thin(domain, config):
     rng = np.random.default_rng(config.seed)
-    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach, windows=config.windows)
+    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach)
     best = -1.0
     best_witness = None
     for i in range(config.budget):

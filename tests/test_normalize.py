@@ -74,8 +74,58 @@ def test_boundary_graph_preconditions():
         boundary_graph(disk, [0.0, -0.5], [1.0, 0.0], 0.3)  # not a boundary point
     with pytest.raises(PreconditionViolated):
         boundary_graph(disk, [0.0, -1.0], [0.0, 1.0], 0.3)  # x-axis not tangent
+    with pytest.raises(PreconditionViolated, match="extends below"):
+        # within the boundary tolerance, but 4e-8 inside
+        boundary_graph(disk, [0.0, -1.0 + 4e-8], [1.0, 0.0], 0.3)
     with pytest.raises(StripTooWide):
         boundary_graph(disk, [0.0, -1.0], [1.0, 0.0], 1.2)
+
+
+def _bisected_heights(domain, point, frame, strip):
+    """Boundary heights over the strip's grid by 60 rounds of bisection on the
+    gauge along each vertical line: the reference for the chord cast."""
+    sc = domain.scale()
+    x = strip.x
+    world = lambda y: point + np.stack([x, y], axis=-1) @ frame
+    # any interior start gives the same heights: just above the cap line
+    y_hi = strip.s * x + strip.b + 1e-7 * sc
+    assert np.all(domain.gauge(world(y_hi)) < 0.0)
+    y_lo = np.full(len(x), -1e-9 * sc)
+    for _ in range(60):
+        y_m = 0.5 * (y_lo + y_hi)
+        inside = domain.gauge(world(y_m)) < 0.0
+        y_hi = np.where(inside, y_m, y_hi)
+        y_lo = np.where(inside, y_lo, y_m)
+    return np.maximum(0.5 * (y_lo + y_hi), 0.0)
+
+
+_GRAPH_CASES = {
+    "disk": (unit_disk(), [0.0, -1.0], 0.5),
+    "rotated ellipse": (Ellipse((0.1, 0.2), (1.5, 0.7), 0.4), -1.3, 0.3),
+    "square edge": (Polygon(SQUARE), [0.5, 0.0], 0.3),
+    "hexagon vertex": (regular_polygon(6), [1.0, 0.0], 0.2),
+    "pball4": (PBall(4.0), [0.0, -1.0], 0.5),
+    "pball1.5": (PBall(1.5), -1.3, 0.3),
+    "smoothed square": (SmoothedPolygon(SQUARE, 0.1), -1.3, 0.1),
+    "power cap": (PowerCap(2.0), [0.0, 0.0], 0.5),
+    "projective pball4": (
+        ProjectiveImage(PBall(4.0), ProjectiveMap([[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.15, 0.1, 1.0]])),
+        -1.3,
+        0.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPH_CASES))
+def test_boundary_graph_matches_bisection_reference(name):
+    domain, point, rho = _GRAPH_CASES[name]
+    # a bare float is a boundary parameter
+    p0 = domain.boundary_points([point])[0] if isinstance(point, float) else np.asarray(point)
+    line = domain.supporting_line(p0)
+    frame = np.array([[-line.v, line.u], [-line.u, -line.v]])
+    strip = boundary_graph(domain, p0, frame, rho)
+    ref = _bisected_heights(domain, p0, frame, strip)
+    assert np.max(np.abs(strip.f - ref)) <= 2e-15 * domain.scale()
 
 
 def test_graph_alpha_fit_contact_orders():
