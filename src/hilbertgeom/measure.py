@@ -16,12 +16,14 @@ factor otherwise.  At the 32 directions per density point of a metric ball,
 a PBall(4) ball's area is within 6e-5 of its value at 256 directions.
 
 Region integrals sum the density over an adaptively refined triangulation.
-Each cell is valued by Radon's 7-point rule, exact for polynomials of degree
-5 (Stroud T2:5-1), so the local error falls as h^6 where the density is
-smooth.  Each round refines the unsettled cells in order of descending
-error, ties in creation order, so results are reproducible; cells that keep
-growing at the depth cap or the point budget flag the estimate as diverged,
-in which case the value is a lower bound only.
+Each cell is valued by a 19-point rule exact for polynomials of degree 8, so
+the local error falls as h^9 where the density is smooth, and checked
+against Radon's 7-point rule of degree 5 (Stroud T2:5-1) on 7 of the same
+nodes: one density batch gives a cell both its value and its error.  Each
+round refines the unsettled cells in order of descending error, ties in
+creation order, so results are reproducible; cells that keep growing at the
+depth cap or the point budget flag the estimate as diverged, in which case
+the value is a lower bound only.
 Many regions are refined as one flat array of cells, region-major, with one
 density batch per round for every region still refining (the pieces of an
 ideal triangle are); densities are computed row by row and each region's
@@ -35,6 +37,7 @@ Metric balls are integrated in polar shells about their centre
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,26 +66,36 @@ _BALL_ROUNDING = 16.0 * float(np.finfo(float).eps)
 # the exact negations of the first
 _PROBE_CHORDS = np.stack([np.cos(np.arange(4) * np.pi / 4.0), np.sin(np.arange(4) * np.pi / 4.0)], axis=1)
 _PROBE_DIRS = np.concatenate([_PROBE_CHORDS, -_PROBE_CHORDS])
-# Radon's 7-point rule on a triangle, exact to degree 5 (Stroud T2:5-1):
-# barycentric nodes, the centroid and the three permutations of
-# (a, a, 1 - 2a) for each a = (6 -+ sqrt 15)/21, with weights summing to 1
-_CELL_NODES = np.array([[1.0 / 3.0] * 3] + [
-    np.roll([a, a, 1.0 - 2.0 * a], k) for a in ((6.0 - math.sqrt(15.0)) / 21.0, (6.0 + math.sqrt(15.0)) / 21.0)
-    for k in range(3)])
-_CELL_WEIGHTS = np.array([9.0 / 40.0] + [(155.0 - math.sqrt(15.0)) / 1200.0] * 3
-                         + [(155.0 + math.sqrt(15.0)) / 1200.0] * 3)
-# density points per cell, and per refined cell: its four children each
-# value their own four children
+# the embedded pair that values and checks each region-quadrature cell
+# (Laurie, "Algorithm 584: CUBTRI", ACM TOMS 8, 1982): barycentric nodes of a
+# fully symmetric 19-point rule exact to degree 8, whose first 7 are those of
+# Radon's 7-point rule, exact to degree 5 (Stroud T2:5-1).  The orbits: the
+# centroid; the three permutations of (a, a, 1 - 2a) for Radon's
+# a = (6 -+ sqrt 15)/21 and for _A3 and _A4; the six permutations of
+# (_A3, _A4, 1 - _A3 - _A4).  The ten symmetric moment equations to degree 8
+# fix the weights, _A3, _A4 and the last orbit, whose first two coordinates
+# come out equal to _A3 and _A4; the values are rounded from a 60-digit
+# solve.  Every weight is positive and every node interior
+_RADON_A = ((6.0 - math.sqrt(15.0)) / 21.0, (6.0 + math.sqrt(15.0)) / 21.0)
+_A3, _A4 = 0.029480860884439568, 0.23210232677505035
+_CELL_NODES = np.array([[1.0 / 3.0] * 3]
+                       + [np.roll([a, a, 1.0 - 2.0 * a], k) for a in (*_RADON_A, _A3, _A4) for k in range(3)]
+                       + list(itertools.permutations((_A3, _A4, 1.0 - _A3 - _A4))))
+_CELL_WEIGHTS = np.repeat([0.03786109120031468, 0.03762042541318297, 0.07835735224411734, 0.013444267375165402,
+                           0.1162714796569659, 0.03750972245523175], [1, 3, 3, 3, 3, 6])
+# Radon's weights on the first 7 nodes, summing to 1
+_RADON_WEIGHTS = np.repeat([9.0 / 40.0, (155.0 - math.sqrt(15.0)) / 1200.0, (155.0 + math.sqrt(15.0)) / 1200.0],
+                           [1, 3, 3])
 _CELL_POINTS = len(_CELL_NODES)
-_REFINE_POINTS = 16 * _CELL_POINTS
 
 
 @dataclass(frozen=True)
 class QuadratureEstimate:
     """Adaptive quadrature result.
 
-    When ``diverged`` is set the refinement kept growing at the depth cap and
-    ``value`` is only a lower bound for the integral.
+    When ``diverged`` is set the refinement kept growing where it stopped,
+    at the depth cap or the point budget, and ``value`` is only a lower
+    bound for the integral.
     """
 
     value: float
@@ -335,19 +348,24 @@ def _fan_cells(domain: ConvexDomain, V: np.ndarray, counts) -> tuple:
 
 
 def _cell_nodes(tri: np.ndarray) -> np.ndarray:
-    """The rule nodes of each (3, 2) cell, shape (7 n, 2), summed as
+    """The rule nodes of each (3, 2) cell, shape (19 n, 2), summed as
     ``np.einsum("kv,nvd->nkd", _CELL_NODES, tri)`` does, at a fifth of its cost."""
     T = np.ascontiguousarray(tri.transpose(1, 0, 2)).reshape(3, -1)
     X = _CELL_NODES[:, 0, None] * T[0] + _CELL_NODES[:, 1, None] * T[1] + _CELL_NODES[:, 2, None] * T[2]
     return X.reshape(_CELL_POINTS, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
 
 
-def _cell_values(tri: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The 7-point rule value of each (3, 2) cell from the densities ``h`` at
-    its :func:`_cell_nodes`, shape (n,)."""
-    # a per-row sum, not a matrix-vector product: BLAS rounds a row by its
-    # place in the batch
-    return _tri_areas(tri) * np.einsum("ij,j->i", h.reshape(-1, _CELL_POINTS), _CELL_WEIGHTS)
+def _cell_values(tri: np.ndarray, h: np.ndarray) -> tuple:
+    """The value and the error estimate of each (3, 2) cell from the
+    densities ``h`` at its :func:`_cell_nodes`, each shape (n,): the value is
+    the 19-point rule's, the error its distance to Radon's rule on the first
+    7 nodes."""
+    H = h.reshape(-1, _CELL_POINTS)
+    area = _tri_areas(tri)
+    # per-row sums, not one matrix product: BLAS rounds a row by its place
+    # in the batch
+    value = area * np.einsum("ij,j->i", H, _CELL_WEIGHTS)
+    return value, np.abs(value - area * np.einsum("ij,j->i", H[:, :len(_RADON_WEIGHTS)], _RADON_WEIGHTS))
 
 
 def region_area(
@@ -362,17 +380,18 @@ def region_area(
 
     Fan-triangulates the region about an end of its shortest diagonal
     V[i] V[i+2] (the shorter diagonal of a quadrilateral), which gives an
-    n-gon n - 2 cells, then refines cells by midpoint subdivision
-    until the local Richardson error (coarse cell value against the sum of
-    its four children) drops below ``tol`` times the cell value.  Every cell
-    is valued by Radon's 7-point rule, area times a weighted sum of the
-    density at seven nodes, exact for polynomials of degree 5.  Each round
-    refines the unsettled cells below ``max_depth`` in order of descending
-    error, ties in creation order, as far as ``max_points`` allows: the
-    budget counts every density point evaluated, the fan's own included, and
-    refining a cell costs 16 cells of 7 points.  If cells remain unsettled
-    when refinement stops and the last round still grew the total by more
-    than a factor 1 + tol, the estimate is marked diverged.
+    n-gon n - 2 cells, then refines cells by midpoint subdivision until each
+    cell's error estimate drops below ``tol`` times its value.  Every cell
+    is valued by a 19-point rule exact for polynomials of degree 8, area
+    times a weighted sum of the density at its nodes, and its error is
+    estimated by the distance to Radon's 7-point rule (degree 5) on 7 of
+    those nodes.  Each round refines the unsettled cells below ``max_depth``
+    in order of descending error, ties in creation order, as far as
+    ``max_points`` allows: the budget counts every density point evaluated,
+    the fan's own included, and refining a cell costs its 4 children of 19
+    points.  If cells remain unsettled when refinement stops and the last
+    round still grew the total by more than a factor 1 + tol, the estimate
+    is marked diverged.
     An empty region has measure 0.  ``n_dirs`` must be an integer >= 16, and
     ``max_depth`` and ``max_points`` integers >= 1, all checked on entry.
 
@@ -389,13 +408,13 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     vertex rows of ``V``, all refined in one flat cell array.
 
     Cells are kept region-major, each region's in creation order: refined
-    cells are dropped and their children appended.  The fan cells and their
-    children take one :func:`densities` call, and each round one more for
-    all regions still refining.  A round picks each region's cells by one
-    lexsort over (region, -error, position), cut to the region's own budget;
-    a region that picks none is finished and leaves the array.  A region's
-    total and error are sums over its own slice, so with densities computed
-    row by row its estimate equals the one it gets alone.
+    cells are dropped and their children appended.  The fan cells take one
+    :func:`densities` call, and each round one more for all regions still
+    refining.  A round picks each region's cells by one lexsort over
+    (region, -error, position), cut to the region's own budget; a region
+    that picks none is finished and leaves the array.  A region's total and
+    error are sums over its own slice, so with densities computed row by row
+    its estimate equals the one it gets alone.
 
     ``stop``, if given, is called as ``stop(ids, total)`` after each round
     that still refines, with the regions in the array and their totals.
@@ -412,24 +431,25 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     results = [QuadratureEstimate(0.0, 0.0, 0, False)] * len(counts)
     if len(tri) == 0:
         return results
-    both = np.concatenate([tri, _split4(tri).reshape(-1, 3, 2)])
-    values = _cell_values(both, densities(domain, _cell_nodes(both), n_dirs=n_dirs, validate=False))
-    own, kids = values[:len(tri)], values[len(tri):].reshape(-1, 4)
+
+    def rule(cells):
+        return _cell_values(cells, densities(domain, _cell_nodes(cells), n_dirs=n_dirs, validate=False))
+
+    value, err = rule(tri)
     depth = np.zeros(len(tri), dtype=int)
-    budget_left = max_points - 5 * _CELL_POINTS * np.bincount(reg, minlength=len(counts))
+    budget_left = max_points - _CELL_POINTS * np.bincount(reg, minlength=len(counts))
+    refine_points = 4 * _CELL_POINTS
     total_prev = np.full(len(counts), math.inf)
     while True:
         starts = np.flatnonzero(np.diff(reg, prepend=-1))
         sizes = np.diff(starts, append=len(reg))
         ids = reg[starts]
-        fine = kids.sum(axis=1)
-        err = np.abs(fine - own)
-        total = np.array([fine[a:a + n].sum() for a, n in zip(starts.tolist(), sizes.tolist())])
-        settled = err <= tol * np.maximum(fine, 0.0) + np.repeat(1e-15 * np.fmax(1.0, np.abs(total)), sizes)
+        total = np.array([value[a:a + n].sum() for a, n in zip(starts.tolist(), sizes.tolist())])
+        settled = err <= tol * np.maximum(value, 0.0) + np.repeat(1e-15 * np.fmax(1.0, np.abs(total)), sizes)
         idx = np.flatnonzero(~settled & (depth < max_depth))
         idx = idx[np.lexsort((idx, -err[idx], reg[idx]))]
         rank = np.arange(len(idx)) - np.searchsorted(reg[idx], reg[idx])
-        idx = idx[rank < budget_left[reg[idx]] // _REFINE_POINTS]
+        idx = idx[rank < budget_left[reg[idx]] // refine_points]
         picked = np.bincount(reg[idx], minlength=len(counts))[ids]
         # refinement stops with unsettled cells only at the depth cap or the point budget
         diverged = (np.bincount(reg, ~settled, len(counts))[ids] > 0) & (total > total_prev[ids] * (1.0 + tol))
@@ -440,17 +460,15 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
                                                  int(deepest[j]), bool(diverged[j]))
         if len(idx) == 0 or stopped:
             break
-        budget_left[ids] -= _REFINE_POINTS * picked
+        budget_left[ids] -= refine_points * picked
         total_prev[ids] = total
         keep = np.repeat(picked > 0, sizes)
         keep[idx] = False
         children = _split4(tri[idx]).reshape(-1, 3, 2)
-        grand = _split4(children).reshape(-1, 3, 2)
-        child_kids = _cell_values(grand, densities(domain, _cell_nodes(grand), n_dirs=n_dirs, validate=False))
-        new = (reg[idx].repeat(4), children, depth[idx].repeat(4) + 1, kids[idx].ravel(), child_kids.reshape(-1, 4))
-        cells = [np.concatenate([old[keep], added]) for old, added in zip((reg, tri, depth, own, kids), new)]
+        new = (reg[idx].repeat(4), children, depth[idx].repeat(4) + 1, *rule(children))
+        cells = [np.concatenate([old[keep], added]) for old, added in zip((reg, tri, depth, value, err), new)]
         order = np.argsort(cells[0], kind="stable")
-        reg, tri, depth, own, kids = (x[order] for x in cells)
+        reg, tri, depth, value, err = (x[order] for x in cells)
     return results
 
 

@@ -98,14 +98,6 @@ def finsler_norm(domain: ConvexDomain, p, v) -> float:
     return float(finsler_norms(domain, as_point(p)[None, :], as_point(v)[None, :])[0])
 
 
-def gromov_product(domain: ConvexDomain, x, y, w) -> float:
-    """Gromov product (x|y) based at w: (d(x,w) + d(y,w) - d(x,y)) / 2."""
-    X = as_points([x, x, y])
-    Y = as_points([w, y, w])
-    d = hilbert_distances(domain, X, Y)
-    return 0.5 * float(d[0] + d[2] - d[1])
-
-
 # ---------------------------------------------------------------------------
 # point-to-segment distance
 
@@ -296,63 +288,6 @@ def delta_four_point(domain: ConvexDomain, config: FourPointConfig = FourPointCo
     k = int(np.argmax(defects))
     witness = {"kind": "four-point", "points": quads[k].tolist()}
     return DeltaEstimate(delta_hat=float(defects[k]), witness=witness, samples_used=config.budget)
-
-
-def window_candidates(
-    domain: ConvexDomain,
-    windows,
-    approach: float = 1e-6,
-    params_per_window: int = 5,
-    gap_levels: int = 5,
-) -> np.ndarray:
-    """Deterministic interior candidates fanned toward boundary windows.
-
-    For each parameter window, boundary anchors are spread evenly and each
-    anchor contributes points at log-spaced gap fractions from ``approach``
-    up to 1 (the domain anchor itself).
-    """
-    gaps = np.geomspace(approach, 1.0, gap_levels)
-    anchor = domain.interior_point()
-    pts = []
-    for lo, hi in windows:
-        params = np.linspace(lo, hi, params_per_window) % domain.param_period
-        B = domain.boundary_points(params)
-        for b in B:
-            pts.append(anchor + np.outer(1.0 - gaps, b - anchor))
-    return np.concatenate(pts, axis=0)
-
-
-def delta_four_point_grid(domain: ConvexDomain, points) -> DeltaEstimate:
-    """Exhaustive four-point defect over every labeled quadruple of ``points``.
-
-    Meant for deliberate stress configurations (a few dozen candidates): the
-    pairwise distance matrix is computed once and the defect of all n^4
-    labeled quadruples is maximized by broadcasting, so this stays cheap up
-    to n of about 80.
-    """
-    C = as_points(points)
-    n = len(C)
-    if n < 4:
-        raise ValueError("need at least four candidate points")
-    if n > 120:
-        raise ValueError("candidate set too large for exhaustive search")
-    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    D = hilbert_distances(domain, C[I.ravel()], C[J.ravel()], validate=False).reshape(n, n)
-    D = 0.5 * (D + D.T)
-    gp = 0.5 * (D[:, None, :] + D[None, :, :] - D[:, :, None])  # gp[i, j, l] = (i|j)_l
-    best = 0.0
-    arg = (0, 0, 0, 0)
-    for l in range(n):
-        g = gp[:, :, l]
-        F = np.minimum(g[:, :, None], g[None, :, :]) - g[:, None, :]  # [i, j, k]
-        m = float(F.max())
-        if m > best:
-            best = m
-            i, j, k = np.unravel_index(int(np.argmax(F)), F.shape)
-            arg = (int(i), int(j), int(k), l)
-    i, j, k, l = arg
-    witness = {"kind": "four-point", "points": [C[i].tolist(), C[j].tolist(), C[k].tolist(), C[l].tolist()]}
-    return DeltaEstimate(delta_hat=best, witness=witness, samples_used=n ** 4)
 
 
 def _thinness_many(domain: ConvexDomain, tris: np.ndarray, side_points: int) -> tuple[np.ndarray, list]:

@@ -27,9 +27,10 @@ from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
 LADDER_DEPTH = 12
-# refinement of the medial triangle and each ladder piece (7-point cells, see
-# measure.region_area): depth cap, budget of density points and unit-ball
-# directions per density point on the classes without a closed-form ball
+# refinement of the medial triangle and each ladder piece (19-point cells
+# checked by their embedded 7-point rule, see measure.region_area): depth
+# cap, budget of density points and unit-ball directions per density point
+# on the classes without a closed-form ball
 PIECE_MAX_DEPTH = 9
 PIECE_MAX_POINTS = 6000
 PIECE_DIRS = 24

@@ -1,6 +1,7 @@
 import math
 import resource
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from hilbertgeom.domains import (
 from hilbertgeom.errors import PointNotInterior, RegionOutsideDomain
 from hilbertgeom.measure import (
     _CELL_NODES,
+    _CELL_POINTS,
+    _CELL_WEIGHTS,
+    _RADON_WEIGHTS,
     DENSITY_CLIP,
     _PROBE_DIRS,
     QuadratureEstimate,
@@ -339,9 +343,10 @@ def test_gauss_legendre_rules_are_cached_read_only(n):
     assert again[0] is x and again[1] is w
 
 
-def _cell_rule(T, f):
+def _cell_rule(T, f, weights):
+    """The rule of ``weights`` on the first ``len(weights)`` cell nodes of T."""
     X = _cell_nodes(T[None])
-    return _cell_values(T[None], f(X[:, 0], X[:, 1]))[0]
+    return _tri_areas(T[None])[0] * float(f(X[:, 0], X[:, 1])[:len(weights)] @ weights)
 
 
 def _collapsed_gauss(T, f):
@@ -357,19 +362,112 @@ def _collapsed_gauss(T, f):
     return abs(cross) * float(np.sum(W * f(X, Y)))
 
 
-def test_cell_rule_is_exact_to_degree_five():
+@pytest.mark.parametrize("weights, degree", [(_CELL_WEIGHTS, 8), (_RADON_WEIGHTS, 5)], ids=["19-point", "radon"])
+def test_cell_rules_are_exact_to_their_degree(weights, degree):
     T = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2))
-    assert np.all(_CELL_NODES >= 0.0) and np.allclose(_CELL_NODES.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-    for a in range(6):
-        for b in range(6 - a):
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
             def f(x, y):
                 return x ** a * y ** b
-            assert _cell_rule(T, f) == pytest.approx(_collapsed_gauss(T, f), rel=1e-13, abs=1e-15), (a, b)
-    for a, b in ((6, 0), (3, 3)):
+            assert _cell_rule(T, f, weights) == pytest.approx(_collapsed_gauss(T, f), rel=1e-13, abs=1e-15), (a, b)
+    for a, b in ((degree + 1, 0), (degree - 2, 3)):
         def f(x, y):
             return x ** a * y ** b
         exact = _collapsed_gauss(T, f)
-        assert abs(_cell_rule(T, f) - exact) > 1e-6 * abs(exact), (a, b)
+        assert abs(_cell_rule(T, f, weights) - exact) > 1e-6 * abs(exact), (a, b)
+
+
+def test_cell_rule_embeds_radons_rule():
+    # every weight positive and every node interior; the first 7 nodes and
+    # their weights are Radon's rule in closed form (Stroud T2:5-1)
+    assert np.all(_CELL_WEIGHTS > 0.0) and math.fsum(_CELL_WEIGHTS) == pytest.approx(1.0, abs=1e-15)
+    assert np.all(_CELL_NODES >= 0.029) and np.allclose(_CELL_NODES.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert len({tuple(v) for v in _CELL_NODES}) == 19
+    r = math.sqrt(15.0)
+    radon = [[1.0 / 3.0] * 3] + [np.roll([a, a, 1.0 - 2.0 * a], k) for a in ((6.0 - r) / 21.0, (6.0 + r) / 21.0)
+                                 for k in range(3)]
+    np.testing.assert_array_equal(_CELL_NODES[:7], radon)
+    weights = [9.0 / 40.0] + [(155.0 - r) / 1200.0] * 3 + [(155.0 + r) / 1200.0] * 3
+    np.testing.assert_array_equal(_RADON_WEIGHTS, weights)
+
+
+# the degrees (i, j) of the symmetric moments e2^i e3^j of barycentric
+# coordinates up to degree 8: a fully symmetric rule is exact to degree 8
+# when it is exact on these ten
+_SYMMETRIC_DEGREES = [(i, j) for j in range(3) for i in range(5) if 2 * i + 3 * j <= 8]
+
+
+def _exact_symmetric_moment(i, j):
+    """The mean of e2^i e3^j over a triangle, as a fraction: e2^i expands
+    into multinomial terms (l1 l2)^k1 (l2 l3)^k2 (l3 l1)^k3, and the mean of
+    l1^p l2^q l3^r is 2 p! q! r! / (p + q + r + 2)!."""
+    f = math.factorial
+    total = Fraction(0)
+    for k1 in range(i + 1):
+        for k2 in range(i + 1 - k1):
+            k3 = i - k1 - k2
+            p, q, r = k1 + k3 + j, k1 + k2 + j, k2 + k3 + j
+            total += Fraction(2 * f(i) * f(p) * f(q) * f(r), f(k1) * f(k2) * f(k3) * f(p + q + r + 2))
+    return total
+
+
+def _moment_residuals(x):
+    """Relative residuals of the ten symmetric moment equations for the
+    parameters x = (w0, w1, w2, a3, w3, a4, w4, a5, b5, w5) of a rule with
+    the centroid, Radon's two (a, a, 1 - 2a) orbits, two more at a3 and a4
+    and the (a5, b5, 1 - a5 - b5) orbit, in the precision of x."""
+    w0, w1, w2, a3, w3, a4, w4, a5, b5, w5 = x
+    one = np.ones_like(w0)
+    r = np.sqrt(15.0 * one)
+    ends = [(a, a, one - 2.0 * a) for a in ((6.0 - r) / 21.0, (6.0 + r) / 21.0, a3, a4)]
+    L = np.array([(one / 3.0,) * 3] + ends + [(a5, b5, one - a5 - b5)])
+    W = np.array([w0, 3.0 * w1, 3.0 * w2, 3.0 * w3, 3.0 * w4, 6.0 * w5])
+    e2 = L[:, 0] * L[:, 1] + L[:, 1] * L[:, 2] + L[:, 2] * L[:, 0]
+    e3 = L[:, 0] * L[:, 1] * L[:, 2]
+    exact = [_exact_symmetric_moment(i, j) for i, j in _SYMMETRIC_DEGREES]
+    return np.array([np.sum(W * e2 ** i * e3 ** j) / (one * m.numerator / m.denominator) - one
+                     for (i, j), m in zip(_SYMMETRIC_DEGREES, exact)])
+
+
+def test_cell_rule_parameters_solve_the_moment_equations():
+    # Newton on the ten moment equations in extended precision, from the
+    # pinned parameters rounded to 10 digits, lands on them again; the last
+    # orbit has a5 = a3 and b5 = a4, which the rule derives
+    W, N = _CELL_WEIGHTS, _CELL_NODES
+    pinned = np.array([W[0], W[1], W[4], N[7, 0], W[7], N[10, 0], W[10], N[13, 0], N[13, 1], W[13]])
+    assert (N[13, 0], N[13, 1]) == (N[7, 0], N[10, 0])
+    x = np.round(pinned, 10).astype(np.longdouble)
+    for _ in range(6):
+        r = _moment_residuals(x)
+        J = np.empty((10, 10))
+        for k in range(10):
+            dx = np.zeros(10, dtype=np.longdouble)
+            dx[k] = 1e-8
+            J[:, k] = (_moment_residuals(x + dx) - _moment_residuals(x - dx)) / 2e-8
+        x = x - np.linalg.solve(J, r.astype(float))
+    assert np.max(np.abs(_moment_residuals(x))) <= 100.0 * np.finfo(np.longdouble).eps
+    # on x86 extended precision leaves each parameter within rounding of its
+    # pinned double (7e-18); where long double is double, the solve's
+    # conditioning (6.5e3) costs up to 3e-14
+    tol = max(1e-15, np.finfo(np.longdouble).eps * np.linalg.cond(J))
+    np.testing.assert_allclose(x.astype(float), pinned, rtol=0.0, atol=tol)
+    assert abs(x[7] - x[3]) <= tol and abs(x[8] - x[5]) <= tol
+
+
+def test_cell_values_are_row_wise():
+    # each cell's value and error are the same bit for bit alone and in a
+    # batch of 1200 cells
+    rng = np.random.default_rng(8)
+    tri = rng.normal(size=(1200, 3, 2)) * np.exp(rng.uniform(-8.0, 2.0, (1200, 1, 1)))
+    h = np.exp(rng.uniform(-5.0, 20.0, (1200 * _CELL_POINTS)))
+    value, err = _cell_values(tri, h)
+    assert np.all(err > 0.0)
+    for i in range(len(tri)):
+        alone = _cell_values(tri[i:i + 1], h[i * _CELL_POINTS:(i + 1) * _CELL_POINTS])
+        assert (alone[0][0], alone[1][0]) == (value[i], err[i])
+    middle = _cell_values(tri[300:901], h[300 * _CELL_POINTS:901 * _CELL_POINTS])
+    np.testing.assert_array_equal(middle[0], value[300:901])
+    np.testing.assert_array_equal(middle[1], err[300:901])
 
 
 def _convex_polygon(rng, n, collinear):

@@ -20,6 +20,7 @@ from hilbertgeom import measure, triangles
 from hilbertgeom.measure import (
     _CELL_NODES,
     _CELL_WEIGHTS,
+    _RADON_WEIGHTS,
     QuadratureEstimate,
     _split4,
     _tri_areas,
@@ -41,12 +42,13 @@ from hilbertgeom.triangles import (
     sup_area_search,
 )
 
-# frozen quadrature outputs for the default settings (7-point cell rule on
-# fans about an end of each piece's shortest diagonal, closed-form densities
-# on the disk and the square), each read from the call its test makes
-DISK_SYMMETRIC_AREA = 3.1415205189626687
-SQUARE_EDGE_TRIPLE_AREA = 1.6152305408962038
-DISK_SUP_BUDGET2_SEED0 = 3.1415221050431237
+# frozen quadrature outputs for the default settings (19-point cells checked
+# by their embedded 7-point rule, on fans about an end of each piece's
+# shortest diagonal, closed-form densities on the disk and the square), each
+# read from the call its test makes
+DISK_SYMMETRIC_AREA = 3.141536338230218
+SQUARE_EDGE_TRIPLE_AREA = 1.6152345522214346
+DISK_SUP_BUDGET2_SEED0 = 3.1415468352349074
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -92,8 +94,10 @@ def test_square_edge_midpoint_triple_converges():
 
 
 # square triangle areas from a deep run: PIECE_MAX_POINTS 60 000, tol 1e-5,
-# 16 ladder rungs (the second half of the test below)
-SQUARE_DEEP_AREAS = {(0.125, 0.375, 0.625): 1.6152345310672385, (0.05, 0.38, 0.71): 2.6407189459389606}
+# 16 ladder rungs (the second half of the test below); a deeper run
+# (240 000 points, depth 12, tol 1e-7, 20 rungs) reads 1.6152345817 and
+# 2.6407197857, 5.9e-10 and 2.2e-7 from these
+SQUARE_DEEP_AREAS = {(0.125, 0.375, 0.625): 1.6152345823079008, (0.05, 0.38, 0.71): 2.640720008363106}
 
 
 @pytest.mark.parametrize("ts", list(SQUARE_DEEP_AREAS))
@@ -198,33 +202,27 @@ def _reference_region_area(domain, region, tol, max_depth, max_points, n_dirs):
     cell_points = len(_CELL_WEIGHTS)
 
     def rule(T):
+        # the 19-point value and its distance to Radon's rule on the first 7 nodes
         h = densities(domain, np.einsum("kv,nvd->nkd", _CELL_NODES, T).reshape(-1, 2), n_dirs=n_dirs, validate=False)
-        return _tri_areas(T) * np.einsum("ij,j->i", h.reshape(-1, cell_points), _CELL_WEIGHTS)
+        H = h.reshape(-1, cell_points)
+        value = _tri_areas(T) * np.einsum("ij,j->i", H, _CELL_WEIGHTS)
+        radon = _tri_areas(T) * np.einsum("ij,j->i", H[:, :len(_RADON_WEIGHTS)], _RADON_WEIGHTS)
+        return value, np.abs(value - radon)
 
     tris, _ = measure._fan_cells(domain, V, [len(V)])
-
-    def prepare(T, iself=None):
-        if iself is None:
-            iself = rule(T)
-        kids = _split4(T)
-        kid_vals = rule(kids.reshape(-1, 3, 2)).reshape(-1, 4)
-        ifine = kid_vals.sum(axis=1)
-        return ifine, np.abs(ifine - iself), kid_vals, kids
-
-    ifine, err, kid_vals, kids = prepare(tris)
+    value, err = rule(tris)
     n = len(tris)
-    cells = {"tri": tris, "depth": np.zeros(n, dtype=int), "id": np.arange(n),
-             "ifine": ifine, "err": err, "kid_vals": kid_vals, "kids": kids}
+    cells = {"tri": tris, "depth": np.zeros(n, dtype=int), "id": np.arange(n), "value": value, "err": err}
     next_id = n
     total_prev = None
-    total = float(ifine.sum())
-    # every density point is charged: the fan cells and their children, then
-    # 16 cells per refined cell
-    budget_left = max_points - 5 * cell_points * n
-    refine_points = 16 * cell_points
+    total = float(value.sum())
+    # every density point is charged: the fan cells, then the 4 children of
+    # each refined cell
+    budget_left = max_points - cell_points * n
+    refine_points = 4 * cell_points
     budget_exhausted = False
     while True:
-        settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(total))
+        settled = cells["err"] <= tol * np.maximum(cells["value"], 0.0) + 1e-15 * max(1.0, abs(total))
         active = ~settled & ~(cells["depth"] >= max_depth)
         if not np.any(active) or budget_left <= 0:
             budget_exhausted = budget_left <= 0 and bool(np.any(active))
@@ -237,20 +235,19 @@ def _reference_region_area(domain, region, tol, max_depth, max_points, n_dirs):
                 budget_exhausted = True
                 break
         budget_left -= refine_points * len(idx)
-        child_tris = cells["kids"][idx].reshape(-1, 3, 2)
-        cifine, cerr, ckid_vals, ckids = prepare(child_tris, iself=cells["kid_vals"][idx].reshape(-1))
+        child_tris = _split4(cells["tri"][idx]).reshape(-1, 3, 2)
+        cvalue, cerr = rule(child_tris)
         keep = np.ones(len(cells["tri"]), dtype=bool)
         keep[idx] = False
         new = {"tri": child_tris, "depth": np.repeat(cells["depth"][idx] + 1, 4),
-               "id": next_id + np.arange(len(child_tris)), "ifine": cifine, "err": cerr,
-               "kid_vals": ckid_vals, "kids": ckids}
+               "id": next_id + np.arange(len(child_tris)), "value": cvalue, "err": cerr}
         next_id += len(child_tris)
         cells = {k: np.concatenate([cells[k][keep], new[k]]) for k in cells}
         total_prev = total
-        total = float(cells["ifine"].sum())
+        total = float(cells["value"].sum())
 
-    value = float(cells["ifine"].sum())
-    settled = cells["err"] <= tol * np.maximum(cells["ifine"], 0.0) + 1e-15 * max(1.0, abs(value))
+    value = float(cells["value"].sum())
+    settled = cells["err"] <= tol * np.maximum(cells["value"], 0.0) + 1e-15 * max(1.0, abs(value))
     diverged = False
     if np.any(~settled) and (np.any(cells["depth"][~settled] >= max_depth) or budget_exhausted):
         diverged = total_prev is not None and total > total_prev * (1.0 + tol)
@@ -351,7 +348,7 @@ def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
                       n_dirs=PIECE_DIRS)
     points = sum(rows)
     # the budget stopped refinement: less than one more refined cell was left
-    assert PIECE_MAX_POINTS - 16 * len(_CELL_WEIGHTS) < points <= PIECE_MAX_POINTS
+    assert PIECE_MAX_POINTS - 4 * len(_CELL_WEIGHTS) < points <= PIECE_MAX_POINTS
     assert points <= CENTROID_RULE_PIECE_POINTS
     assert est.diverged
 
@@ -376,7 +373,7 @@ def test_batch_equals_each_region_alone(monkeypatch):
     assert measure._region_areas(_SQUARE4, V, counts, *settings) == alone
     assert alone[:3] == [QuadratureEstimate(0.0, 0.0, 0, False)] * 3
     assert alone[5].diverged and alone[5].depth < PIECE_MAX_DEPTH
-    assert sum(alone_rows[5]) > PIECE_MAX_POINTS - 16 * len(_CELL_WEIGHTS)
+    assert sum(alone_rows[5]) > PIECE_MAX_POINTS - 4 * len(_CELL_WEIGHTS)
     assert alone[6].depth == PIECE_MAX_DEPTH
     # the batch evaluates the same points in as many calls as its longest region
     assert sum(rows) == sum(map(sum, alone_rows))
@@ -399,12 +396,11 @@ def test_batch_raises_what_its_first_bad_region_raises():
 
 # per-ladder verdicts of the corner-offset square triangles when every piece
 # refines to its budget, computed with the stop disabled in a copy of the
-# code (10 density batches, 198 933 points, partial 110.9226736...)
+# code (10 density batches, 196 973 points, partial 115.1787854... at +1e-6)
 CORNER_LADDER_VERDICTS = {1e-6: [True, False, False], -1e-6: [False, False, True]}
-# density points of the fan cells with their children and of the two rounds
-# of refinement before the corner ladder's verdict settles, counted by the
-# test below
-CORNER_STOP_POINTS = 29785
+# density points of the fan cells and of the two rounds of refinement
+# before the corner ladder's verdict settles, counted by the test below
+CORNER_STOP_POINTS = 19893
 
 
 @pytest.mark.parametrize("offset", list(CORNER_LADDER_VERDICTS), ids=["square-corner+", "square-corner-"])
@@ -422,11 +418,11 @@ def test_corner_triangle_stops_once_its_divergence_settles(monkeypatch, offset):
 
 
 def test_settled_disk_triangle_takes_one_density_batch(monkeypatch):
-    # all 34 pieces settle on their fan cells (1 + 33 * 2), so the fan cells
-    # and their children, 5 cells of 7 points each, are the only batch
+    # all 34 pieces settle on their fan cells (1 + 33 * 2), so the fan
+    # cells, 19 points each, are the only batch
     rows = _counting_densities(monkeypatch)
     ideal_triangle_area_detail(unit_disk(), make_ideal_triangle(unit_disk(), 0.2, 2.3, 4.3))
-    assert rows == [(1 + 33 * 2) * 5 * len(_CELL_WEIGHTS)] == [2345]
+    assert rows == [(1 + 33 * 2) * len(_CELL_WEIGHTS)] == [1273]
 
 
 @pytest.mark.parametrize(
