@@ -1,5 +1,7 @@
 """Numerical toolkit for planar Hilbert geometries."""
 
+import types
+
 from ._malloc import pin_malloc_thresholds
 from .domains import (
     ConvexDomain,
@@ -22,7 +24,6 @@ from .errors import (
     ImproperImage,
     InsufficientSignal,
     InvalidTriangle,
-    NoConvergence,
     NotConvex,
     NotOnBoundary,
     PointNotInterior,
@@ -35,7 +36,6 @@ from .errors import (
 from .measure import (
     QuadratureEstimate,
     ball_area,
-    ball_boundary_polygon,
     densities,
     density,
     region_area,
@@ -56,7 +56,6 @@ from .metric import (
     point_to_segment_distance,
     point_to_segment_distances,
     reevaluate_witness,
-    triangle_thinness,
 )
 from .normalize import (
     AlphaFit,
@@ -101,84 +100,10 @@ __version__ = "0.1.0"
 
 pin_malloc_thresholds()
 
-__all__ = [
-    "AlphaFit",
-    "CheckResult",
-    "ConvexDomain",
-    "CornerLadder",
-    "DegenerateVertices",
-    "DeltaEstimate",
-    "DerivativeHolderResult",
-    "Ellipse",
-    "FourPointConfig",
-    "GeometryError",
-    "GraphStrip",
-    "IdealTriangle",
-    "ImproperImage",
-    "InsufficientSignal",
-    "InvalidTriangle",
-    "Line2",
-    "NoConvergence",
-    "NormalizationResult",
-    "NotConvex",
-    "NotOnBoundary",
-    "PBall",
-    "PointNotInterior",
-    "Polygon",
-    "PowerCap",
-    "PreconditionViolated",
-    "ProjectiveImage",
-    "ProjectiveMap",
-    "QuadratureEstimate",
-    "RegionOutsideDomain",
-    "RegularityReport",
-    "SampledFunction",
-    "SegmentNotInDomain",
-    "SingularConstraints",
-    "SmoothedPolygon",
-    "StripTooWide",
-    "SuiteReport",
-    "SupAreaResult",
-    "ThinTriangleConfig",
-    "TriangleSamplerConfig",
-    "ball_area",
-    "ball_boundary_polygon",
-    "boundary_biased_points",
-    "boundary_graph",
-    "boundary_regularity_report",
-    "chain_constants",
-    "delta_four_point",
-    "delta_thin",
-    "densities",
-    "density",
-    "derivative_holder_check",
-    "domain_from_json",
-    "domain_from_spec",
-    "finsler_norm",
-    "finsler_norms",
-    "graph_alpha_fit",
-    "hilbert_distance",
-    "hilbert_distances",
-    "holder_bound_check",
-    "ideal_triangle_area",
-    "ideal_triangle_area_detail",
-    "ideal_triangle_from_points",
-    "make_ideal_triangle",
-    "normalize_many",
-    "normalize_triangle_pointed",
-    "point_at_distance",
-    "point_to_segment_distance",
-    "point_to_segment_distances",
-    "power_cap_corner_bound",
-    "qs_constant",
-    "qsc_constant",
-    "reevaluate_witness",
-    "region_area",
-    "regular_polygon",
-    "run_suite",
-    "sup_area_search",
-    "triangle_thinness",
-    "unit_ball_area",
-    "unit_ball_areas",
-    "unit_disk",
-]
+# every class, function and exception imported above: not the submodules
+# the imports bind, nor the allocator set-up
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, types.ModuleType) or value is pin_malloc_thresholds)
+)

@@ -11,8 +11,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .domains import PBall, Polygon, SmoothedPolygon, domain_from_json, regular_polygon
-from .errors import GeometryError, InvalidTriangle, PointNotInterior
+from .domains import PBall, SmoothedPolygon, domain_from_json, regular_polygon
+from .errors import GeometryError, PointNotInterior
 from .metric import FourPointConfig, ThinTriangleConfig, delta_four_point, delta_thin, hilbert_distance
 from .normalize import normalize_triangle_pointed
 from .suites import run_suite
@@ -82,7 +82,7 @@ def cmd_dist(args) -> int:
         d = hilbert_distance(domain, (args.coords[0], args.coords[1]), (args.coords[2], args.coords[3]))
     except PointNotInterior:
         return _fail_usage("point not interior")
-    except (GeometryError, OSError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         return _fail_usage(str(exc))
     _emit("0" if d == 0.0 else f"{d:.6f}", args.out)
     return EXIT_OK
@@ -95,7 +95,7 @@ def cmd_area(args) -> int:
         if not tri.validity:
             return _fail_usage(f"invalid ideal triangle: {tri.invalid_reason}")
         est = ideal_triangle_area(domain, tri, tol=args.tol)
-    except (GeometryError, OSError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         return _fail_usage(str(exc))
     _emit(json.dumps(est.to_jsonable()), args.out)
     return EXIT_OK
@@ -106,7 +106,7 @@ def cmd_normalize(args) -> int:
         domain = _load_domain(args.spec)
         tri = make_ideal_triangle(domain, *args.params)
         result = normalize_triangle_pointed(domain, tri)
-    except (GeometryError, OSError, ValueError) as exc:
+    except (GeometryError, ValueError) as exc:
         return _fail_usage(str(exc))
     _emit(json.dumps(result.to_jsonable()), args.out)
     return EXIT_OK
@@ -246,10 +246,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_defaults(args)
-    except (OSError, TypeError, ValueError) as exc:
+        try:
+            _resolve_defaults(args)
+        except (TypeError, ValueError) as exc:
+            return _fail_usage(str(exc))
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable --spec or --config file, or an unwritable --out
         return _fail_usage(str(exc))
-    return args.func(args)
 
 
 if __name__ == "__main__":

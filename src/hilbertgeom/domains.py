@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImproperImage, NotOnBoundary, PointNotInterior
+from .errors import ImproperImage, NotOnBoundary
 
 # a near-tangent ray at worst halves its distance to the hit per Newton round,
 # and 53 halvings exhaust double precision; converged rows leave early
@@ -111,10 +111,6 @@ class Line2:
         q = as_point(p)
         return float(self.u * q[0] + self.v * q[1] + self.w)
 
-    def signed_distances(self, P) -> np.ndarray:
-        Q = as_points(P)
-        return Q[:, 0] * self.u + Q[:, 1] * self.v + self.w
-
     def as_covector(self) -> np.ndarray:
         return np.array([self.u, self.v, self.w])
 
@@ -130,10 +126,6 @@ class ProjectiveMap:
             raise ValueError("projective matrix must be invertible")
         M.setflags(write=False)
         self.matrix = M
-
-    @staticmethod
-    def identity() -> "ProjectiveMap":
-        return ProjectiveMap(np.eye(3))
 
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap(np.linalg.inv(self.matrix))

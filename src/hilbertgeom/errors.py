@@ -13,10 +13,6 @@ class NotOnBoundary(GeometryError):
     """A point that must lie on the domain boundary (within tolerance) does not."""
 
 
-class NoConvergence(GeometryError):
-    """An iterative solver exhausted its iterations without meeting tolerance."""
-
-
 class ImproperImage(GeometryError):
     """A projective image is unbounded or meets the line at infinity."""
 

@@ -111,37 +111,20 @@ class QuadratureEstimate:
             "diverged": self.diverged,
         }
 
-    @staticmethod
-    def from_jsonable(d: dict) -> "QuadratureEstimate":
-        return QuadratureEstimate(
-            value=float(d["value"]),
-            error_bound=float(d["error_bound"]),
-            depth=int(d["depth"]),
-            diverged=bool(d["diverged"]),
-        )
-
 
 def _harmonic_halfwidth(t_plus: np.ndarray, t_minus: np.ndarray) -> np.ndarray:
     return 2.0 * t_plus * t_minus / np.maximum(t_plus + t_minus, _TINY)
 
 
-def ball_frames(domain: ConvexDomain, P):
+def _ball_frames(domain: ConvexDomain, P: np.ndarray):
     """Adapted frame per point: tangential axis, inward axis, half-widths.
 
     The inward axis points away from the (approximately) nearest boundary
     point, found by probing eight directions along four chords; half-widths
-    are the unit-ball radii along the two axes.
-    Every point must be strictly interior, else ``PointNotInterior`` is
-    raised: a point on or outside the boundary has no chords to frame it.
+    are the unit-ball radii along the two axes.  Every point must already be
+    known to be strictly interior: a point on or outside the boundary has no
+    chords to frame it.
     """
-    P = as_points(P)
-    if not np.all(domain.gauge(P) < 0.0):
-        raise PointNotInterior("point not interior")
-    return _ball_frames(domain, P)
-
-
-def _ball_frames(domain: ConvexDomain, P: np.ndarray):
-    """:func:`ball_frames` of points already checked to be interior."""
     m = len(P)
     c = len(_PROBE_CHORDS)
     tp, tm = domain.ray_hits_both(np.repeat(P, c, axis=0), np.tile(_PROBE_CHORDS, (m, 1)))
@@ -497,42 +480,6 @@ def chord_parameter_at_distance(t_plus, t_minus, rho):
     return np.minimum(t, t_plus * (1.0 - 1e-15))
 
 
-def _frame_chords(domain: ConvexDomain, q: np.ndarray, n: int):
-    """Unit directions about q at n adapted-frame angles psi, their chord
-    hits, and the elliptical-angle Jacobian d(theta)/d(psi)."""
-    tau, nin, a, b = _ball_frames(domain, q[None, :])
-    psi = np.arange(n) * (2.0 * np.pi / n)
-    cs, sn = np.cos(psi), np.sin(psi)
-    U = (a[0] * cs)[:, None] * tau[0][None, :] + (b[0] * sn)[:, None] * nin[0][None, :]
-    U = U / np.hypot(U[:, 0], U[:, 1])[:, None]
-    tp, tm = domain.ray_hits_both(np.repeat(q[None, :], n, axis=0), U)
-    jac = (a[0] * b[0]) / (a[0] ** 2 * cs ** 2 + b[0] ** 2 * sn ** 2)
-    return U, tp, tm, jac
-
-
-def _check_radius(R: float) -> None:
-    if not 0.0 < R < math.inf:
-        raise ValueError("radius must be positive and finite")
-
-
-def ball_boundary_polygon(domain: ConvexDomain, q, R: float, n_dirs: int = 192) -> np.ndarray:
-    """Vertices of the inscribed polygon of the metric ball of radius R at q.
-
-    Directions come from the adapted frame; along each chord the radius is
-    the closed-form inverse of the distance profile
-    (:func:`chord_parameter_at_distance`).  ``n_dirs``, the number of
-    vertices, must be an integer >= 1.
-    """
-    _require_count("n_dirs", n_dirs)
-    q = as_point(q)
-    if not domain.contains(q):
-        raise PointNotInterior("point not interior")
-    _check_radius(R)
-    U, tp, tm, _ = _frame_chords(domain, q, n_dirs)
-    t = chord_parameter_at_distance(tp, tm, R)
-    return q + t[:, None] * U
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule on [-1, 1], nodes and weights, computed
@@ -566,7 +513,13 @@ def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: 
     term, times the node's conditioning t_plus / (t_plus - t), since a shell
     near the boundary carries the rounding of t in its gap.
     """
-    U, tp, tm, jac = _frame_chords(domain, q, n_psi)
+    tau, nin, a, b = (frame[0] for frame in _ball_frames(domain, q[None, :]))
+    psi = np.arange(n_psi) * (2.0 * np.pi / n_psi)
+    cs, sn = np.cos(psi), np.sin(psi)
+    U = (a * cs)[:, None] * tau + (b * sn)[:, None] * nin
+    U = U / np.hypot(U[:, 0], U[:, 1])[:, None]
+    tp, tm = domain.ray_hits_both(np.repeat(q[None, :], n_psi, axis=0), U)
+    jac = (a * b) / (a ** 2 * cs ** 2 + b ** 2 * sn ** 2)  # d(theta)/d(psi)
 
     x, w_r = _gauss_legendre(n_r)
     x_half, w_half = _gauss_legendre(n_r // 2)
@@ -637,7 +590,8 @@ def ball_area(
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
-    _check_radius(R)
+    if not 0.0 < R < math.inf:
+        raise ValueError("radius must be positive and finite")
     value = error = math.nan
     for level in range(max_depth + 1):
         value_prev, error_prev = value, error

@@ -33,6 +33,8 @@ COINCIDENCE_TOL = 1e-14
 _TINY = 1e-300
 _GOLDEN_ITERS = 58  # final bracket 0.618^58 = 7.6e-13 of the segment
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_APPROACH = 1e-4  # smallest gap fraction of a boundary-biased sample
+_SIDE_POINTS = 8  # probe points per side of a thin triangle
 
 
 def _require_interior(domain: ConvexDomain, P: np.ndarray, label: str) -> None:
@@ -178,23 +180,20 @@ def boundary_biased_points(
     domain: ConvexDomain,
     shape,
     rng: np.random.Generator,
-    approach: float = 1e-4,
 ) -> np.ndarray:
     """Random interior points biased toward the boundary.
 
     Each point picks a boundary parameter uniform over the period and a gap
-    fraction that is log-uniform in [approach, 1]; it then sits at fraction
+    fraction that is log-uniform in [``_APPROACH``, 1]; it then sits at fraction
     (1 - gap) of the way from the domain anchor to the boundary.  Samples
     are drawn from the stream in one block, so for a fixed seed the first k
     points are the same for every budget >= k.
     """
-    if not (0.0 < approach < 1.0):
-        raise ValueError("approach must lie in (0, 1)")
     shape = tuple(np.atleast_1d(shape).astype(int))
     U = rng.random(shape + (2,))
     flat = U.reshape(-1, 2)
     params = flat[:, 0] * domain.param_period
-    gap = approach ** flat[:, 1]
+    gap = _APPROACH ** flat[:, 1]
     anchor = domain.interior_point()
     # the domain is convex and the anchor interior, so the ray from the
     # anchor through a boundary point leaves the domain at that point
@@ -218,7 +217,6 @@ class FourPointConfig:
 
     budget: int = 2000
     seed: int = 0
-    approach: float = 1e-4
 
     def __post_init__(self):
         _require_count("budget", self.budget)
@@ -229,13 +227,10 @@ class ThinTriangleConfig:
     """Sampling plan for the thin-triangle estimator."""
 
     budget: int = 24
-    side_points: int = 8
     seed: int = 0
-    approach: float = 1e-4
 
     def __post_init__(self):
         _require_count("budget", self.budget)
-        _require_count("side_points", self.side_points)
 
 
 @dataclass(frozen=True)
@@ -283,18 +278,21 @@ def delta_four_point(domain: ConvexDomain, config: FourPointConfig = FourPointCo
     budget for a fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    quads = boundary_biased_points(domain, (config.budget, 4), rng, approach=config.approach)
+    quads = boundary_biased_points(domain, (config.budget, 4), rng)
     defects = _four_point_defects(domain, quads)
     k = int(np.argmax(defects))
     witness = {"kind": "four-point", "points": quads[k].tolist()}
     return DeltaEstimate(delta_hat=float(defects[k]), witness=witness, samples_used=config.budget)
 
 
-def _thinness_many(domain: ConvexDomain, tris: np.ndarray, side_points: int) -> tuple[np.ndarray, list]:
+def _thinness_many(domain: ConvexDomain, tris: np.ndarray) -> tuple[np.ndarray, list]:
     """Thinness and witness record of each (3, 2) vertex triple in ``tris``.
 
-    Every non-collinear triangle shares one ``point_to_segment_distances``
-    call; collinear ones get value 0 and a degenerate witness.
+    The thinness of the segment triangle abc is the largest, over
+    ``_SIDE_POINTS`` probe points p on each side, of the distance from p to
+    the union of the two other sides.  Every non-collinear triangle shares
+    one ``point_to_segment_distances`` call; collinear ones get value 0 (the
+    sides overlap) and a degenerate witness.
     """
     m = len(tris)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
@@ -303,18 +301,18 @@ def _thinness_many(domain: ConvexDomain, tris: np.ndarray, side_points: int) -> 
     live = np.flatnonzero(np.abs(cross) > 1e-13 * sc * sc)
     V = tris[live]
     k = len(V)
-    fr = (np.arange(side_points) + 0.5) / side_points
+    fr = (np.arange(_SIDE_POINTS) + 0.5) / _SIDE_POINTS
     # probe side i connects V[i+1] and V[i+2]; the opposite sides are
     # (V[i], V[i+1]) and (V[i], V[i+2])
     i0 = np.arange(3)
     i1, i2 = (i0 + 1) % 3, (i0 + 2) % 3
     probes = V[:, i1, None, :] + fr[:, None] * (V[:, i2] - V[:, i1])[:, :, None, :]  # (k, 3, sp, 2)
-    shape = (k, 3, 2, side_points, 2)
+    shape = (k, 3, 2, _SIDE_POINTS, 2)
     P = np.broadcast_to(probes[:, :, None], shape).reshape(-1, 2)
     A = np.broadcast_to(V[:, :, None, None, :], shape).reshape(-1, 2)
     B = np.broadcast_to(V[:, np.stack([i1, i2], axis=1), None, :], shape).reshape(-1, 2)
-    D = point_to_segment_distances(domain, P, A, B, validate=False).reshape(k, 3, 2, side_points)
-    per_point = D.min(axis=2).reshape(k, 3 * side_points)  # min over the two opposite sides
+    D = point_to_segment_distances(domain, P, A, B, validate=False).reshape(k, 3, 2, _SIDE_POINTS)
+    per_point = D.min(axis=2).reshape(k, 3 * _SIDE_POINTS)  # min over the two opposite sides
     arg = np.argmax(per_point, axis=1)
     values = np.zeros(m)
     values[live] = per_point[np.arange(k), arg]
@@ -323,28 +321,10 @@ def _thinness_many(domain: ConvexDomain, tris: np.ndarray, side_points: int) -> 
         for t in tris
     ]
     for j, r in enumerate(live):
-        side, pt = divmod(int(arg[j]), side_points)
+        side, pt = divmod(int(arg[j]), _SIDE_POINTS)
         witnesses[r] = {"kind": "thin-triangle", "vertices": tris[r].tolist(), "side": side,
                         "point": probes[j, side, pt].tolist()}
     return values, witnesses
-
-
-def triangle_thinness(
-    domain: ConvexDomain,
-    a,
-    b,
-    c,
-    side_points: int = 8,
-) -> tuple[float, dict]:
-    """Thinness of the segment triangle abc: the largest, over points p on a
-    side, of the distance from p to the union of the two other sides.
-
-    Returns the value together with a witness record.  Collinear vertices
-    give 0 (the sides overlap).
-    """
-    _require_count("side_points", side_points)
-    values, witnesses = _thinness_many(domain, np.stack([as_point(a), as_point(b), as_point(c)])[None], side_points)
-    return float(values[0]), witnesses[0]
 
 
 def delta_thin(domain: ConvexDomain, config: ThinTriangleConfig = ThinTriangleConfig()) -> DeltaEstimate:
@@ -354,8 +334,8 @@ def delta_thin(domain: ConvexDomain, config: ThinTriangleConfig = ThinTriangleCo
     witness.
     """
     rng = np.random.default_rng(config.seed)
-    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach)
-    values, witnesses = _thinness_many(domain, tris, config.side_points)
+    tris = boundary_biased_points(domain, (config.budget, 3), rng)
+    values, witnesses = _thinness_many(domain, tris)
     k = int(np.argmax(values))
     return DeltaEstimate(delta_hat=float(max(values[k], 0.0)), witness=witnesses[k], samples_used=config.budget)
 

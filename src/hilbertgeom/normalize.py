@@ -245,7 +245,7 @@ def _aligned_line_residual(line: Line2, target: np.ndarray) -> float:
     return float(np.max(np.abs(sign * ell - target)))
 
 
-def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> dict:
+def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> NormalizationResult:
     A_rows = []
     for k, idx in enumerate(perm):
         A_rows.append(_point_rows(V[idx], _TARGETS[k]))
@@ -274,14 +274,17 @@ def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> dict:
     res_a = _aligned_line_residual(M.push_line(lines[perm[0]]), np.array([0.0, 1.0, 0.0]))
     res_b = _aligned_line_residual(M.push_line(lines[perm[1]]), np.array([1.0, 0.0, 0.0]))
     res_c = abs(ell_c.u * 1.0 + ell_c.v * 1.0 + ell_c.w)
-    return {
-        "H": H,
-        "image": image,
-        "alpha": alpha,
-        "vertex_res": vertex_res,
-        "tangency_res": max(res_a, res_b, float(res_c)),
-        "perm": perm,
-    }
+    # fix the overall scale for readability: unit largest entry, positive
+    pivot = np.unravel_index(np.argmax(np.abs(H)), H.shape)
+    return NormalizationResult(
+        matrix=H / H[pivot],
+        domain=image,
+        alpha=alpha,
+        vertex_residual=vertex_res,
+        tangency_residual=max(res_a, res_b, float(res_c)),
+        permutation=perm,
+        e_report=alpha,
+    )
 
 
 def normalize_triangle_pointed(domain: ConvexDomain, T: IdealTriangle) -> NormalizationResult:
@@ -302,21 +305,9 @@ def normalize_triangle_pointed(domain: ConvexDomain, T: IdealTriangle) -> Normal
     V = T.vertices()
     lines = [domain.supporting_line(v) for v in V]
     chosen = _candidate(domain, V, lines, (0, 1, 2))
-    if chosen["alpha"] > (1.0 - chosen["alpha"]) + _ALPHA_TIE:
+    if chosen.alpha > (1.0 - chosen.alpha) + _ALPHA_TIE:
         chosen = _candidate(domain, V, lines, (0, 2, 1))
-    H = chosen["H"]
-    # fix the overall scale for readability: unit largest entry, positive
-    pivot = np.unravel_index(np.argmax(np.abs(H)), H.shape)
-    H = H / H[pivot]
-    return NormalizationResult(
-        matrix=H,
-        domain=chosen["image"],
-        alpha=chosen["alpha"],
-        vertex_residual=chosen["vertex_res"],
-        tangency_residual=chosen["tangency_res"],
-        permutation=chosen["perm"],
-        e_report=chosen["alpha"],
-    )
+    return chosen
 
 
 def normalize_many(domain_triangle_pairs) -> list:

@@ -211,20 +211,19 @@ class DerivativeHolderResult:
     alpha: float
 
 
-def derivative_holder_check(f: SampledFunction, K: float = None) -> DerivativeHolderResult:
+def derivative_holder_check(f: SampledFunction) -> DerivativeHolderResult:
     """Check |f'(x) - f'(y)| <= 160 (1 + K) ||f|| |x - y|^(alpha - 1).
 
-    ``K`` defaults to the measured quasi-symmetry constant of f' (monotone
-    for convex f, so its increment ratios are well behaved).  The check
-    runs over every grid pair; the reported margin is the worst slack
-    (bound minus left side).
+    ``K`` is the measured quasi-symmetry constant of f' (monotone for convex
+    f, so its increment ratios are well behaved).  The check runs over every
+    grid pair; the reported margin is the worst slack (bound minus left
+    side).
     """
     g = f if f.derivative is not None else f.with_central_derivative()
     g.require_convex()
-    if K is None:
-        K = qs_constant(SampledFunction(a=g.a, values=g.derivative))
-    if not np.isfinite(K) or K < 1.0:
-        raise ValueError("quasi-symmetry constant must be finite and >= 1")
+    K = qs_constant(SampledFunction(a=g.a, values=g.derivative))  # at least 1
+    if not np.isfinite(K):
+        raise ValueError("quasi-symmetry constant must be finite")
     alpha = 1.0 + math.log2(1.0 + 1.0 / K)
     sup_f = float(np.max(np.abs(g.values)))
     C = 160.0 * (1.0 + K) * sup_f

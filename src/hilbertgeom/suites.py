@@ -25,7 +25,6 @@ from .regularity import (
     chain_constants,
     derivative_holder_check,
     holder_bound_check,
-    qs_constant,
     qsc_constant,
 )
 

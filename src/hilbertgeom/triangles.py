@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvexDomain, as_point, as_points
+from .domains import ConvexDomain, as_points
 from .errors import DegenerateVertices, InvalidTriangle
 from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
@@ -41,6 +41,9 @@ _SIDE_SAMPLES = 64
 # on the fan cells and after the first round, and stopping there would flip
 # its verdict
 _SETTLED_ROUNDS = 3
+# boundary-parameter offset of the corner-hugging triples that the sup-area
+# search adds on polygons
+CORNER_OFFSET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -270,13 +273,12 @@ class TriangleSamplerConfig:
 
     Random triples are stratified over the boundary parameterization; on
     polygons, deliberate corner-hugging triples (exact corner parameters and
-    parameters offset by ``corner_offset``) are appended, because divergent
+    parameters offset by ``CORNER_OFFSET``) are appended, because divergent
     witnesses sit where flat boundary arcs meet.
     """
 
     budget: int = 6
     seed: int = 0
-    corner_offset: float = 1e-6
     tol: float = 1e-3
 
     def __post_init__(self):
@@ -303,10 +305,6 @@ class SupAreaResult:
         vals += [est.value for _, est in self.divergent]
         return max(vals) if vals else 0.0
 
-    @property
-    def any_diverged(self) -> bool:
-        return len(self.divergent) > 0
-
 
 def _sample_triples(domain: ConvexDomain, config: TriangleSamplerConfig) -> list:
     rng = np.random.default_rng(config.seed)
@@ -331,9 +329,8 @@ def _sample_triples(domain: ConvexDomain, config: TriangleSamplerConfig) -> list
         picks = [(0, n // 3, (2 * n) // 3)] if n > 3 else [(0, 1, 2)]
         for i, j, k in picks:
             triples.append((cp[i], cp[j], cp[k]))
-            off = config.corner_offset
-            triples.append((cp[i] + off, cp[j] + off, cp[k] + off))
-            triples.append((cp[i] - off, cp[j] - off, cp[k] - off))
+            for off in (CORNER_OFFSET, -CORNER_OFFSET):
+                triples.append((cp[i] + off, cp[j] + off, cp[k] + off))
     return triples
 
 

@@ -151,6 +151,16 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     assert path.read_text() == stdout_text
 
 
+@pytest.mark.parametrize("argv", [["dist", "--spec", DISK_SPEC, "0", "0", "0.5", "0"], ["verify", "graph"]],
+                         ids=["dist", "verify"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # an input error, not a failed check: verify keeps 1 for those
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "missing" / "x.txt")])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "x.txt" in err
+
+
 def test_area_spec_missing_key_exits_2(capsys):
     code, _, err = _run(capsys, ["area", "--spec", '{"type":"pball"}', "0", "1", "2"])
     assert code == 2

@@ -135,7 +135,7 @@ def test_projective_push_line_incidence():
     # points on the line map onto the pushed line
     pts = np.stack([np.linspace(-1.0, 1.0, 7), np.ones(7)], axis=1)
     mapped = H.apply_many(pts)
-    assert np.max(np.abs(pushed.signed_distances(mapped))) <= 1e-9
+    assert np.max(np.abs(mapped @ [pushed.u, pushed.v] + pushed.w)) <= 1e-9
 
 
 def test_projective_image_proper_and_improper():

@@ -9,6 +9,7 @@ from hilbertgeom import metric
 from hilbertgeom.domains import (
     Ellipse,
     PBall,
+    Polygon,
     PowerCap,
     ProjectiveImage,
     ProjectiveMap,
@@ -17,7 +18,7 @@ from hilbertgeom.domains import (
     regular_polygon,
     unit_disk,
 )
-from hilbertgeom.errors import PointNotInterior
+from hilbertgeom.errors import PointNotInterior, SegmentNotInDomain
 from hilbertgeom.metric import (
     FourPointConfig,
     ThinTriangleConfig,
@@ -30,7 +31,6 @@ from hilbertgeom.metric import (
     point_to_segment_distance,
     point_to_segment_distances,
     reevaluate_witness,
-    triangle_thinness,
 )
 
 # frozen estimator outputs for the default seeds
@@ -124,11 +124,21 @@ def test_point_to_segment_distance():
     assert d_seg > 0.0
 
 
-def test_triangle_thinness_collinear_is_zero():
-    disk = unit_disk()
-    value, witness = triangle_thinness(disk, (-0.5, 0.0), (0.0, 0.0), (0.5, 0.0))
-    assert value == 0.0
-    assert witness["degenerate"] is True
+@pytest.mark.parametrize(
+    "a, b, message",
+    [((0.0, 0.0), (1.5, 0.0), "endpoint outside"), ((1.0, -1.0), (1.0, 1.0), "midpoint not interior")],
+    ids=["end-outside", "along-edge"],
+)
+def test_segment_must_lie_in_the_domain(a, b, message):
+    # an end outside the closed square, and a side of the square: its ends
+    # are corners, in the closed domain, but its midpoint is not interior
+    square = Polygon([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    p = (0.0, 0.5)
+    with pytest.raises(SegmentNotInDomain, match=message):
+        point_to_segment_distance(square, p, a, b)
+    # in a batch, one such row fails the call
+    with pytest.raises(SegmentNotInDomain, match=message):
+        point_to_segment_distances(square, [p, p], [(-0.5, 0.0), a], [(0.5, 0.0), b])
 
 
 def test_delta_four_point_disk():
@@ -153,11 +163,6 @@ def test_delta_thin_disk():
         ("budget", lambda: FourPointConfig(budget=0)),
         ("budget", lambda: ThinTriangleConfig(budget=True)),
         ("budget", lambda: ThinTriangleConfig(budget=-1)),
-        ("side_points", lambda: ThinTriangleConfig(side_points=0)),
-        ("side_points", lambda: ThinTriangleConfig(side_points=-1)),
-        ("side_points", lambda: ThinTriangleConfig(side_points=8.0)),
-        ("side_points", lambda: triangle_thinness(unit_disk(), (-0.5, 0.0), (0.5, 0.0), (0.0, 0.5), side_points=0)),
-        ("side_points", lambda: triangle_thinness(unit_disk(), (-0.5, 0.0), (0.5, 0.0), (0.0, 0.5), side_points=-1)),
     ],
 )
 def test_estimator_counts_must_be_positive_integers(field, make):
@@ -209,11 +214,11 @@ def _reference_triangle_thinness(domain, a, b, c, side_points=8):
 
 def _reference_delta_thin(domain, config):
     rng = np.random.default_rng(config.seed)
-    tris = boundary_biased_points(domain, (config.budget, 3), rng, approach=config.approach)
+    tris = boundary_biased_points(domain, (config.budget, 3), rng)
     best = -1.0
     best_witness = None
     for i in range(config.budget):
-        value, witness = _reference_triangle_thinness(domain, *tris[i], side_points=config.side_points)
+        value, witness = _reference_triangle_thinness(domain, *tris[i])
         if value > best:
             best = value
             best_witness = witness
@@ -244,12 +249,17 @@ def test_thinness_batch_sets_collinear_triangles_aside():
     tris = boundary_biased_points(dom, (2, 3), np.random.default_rng(5))
     line = np.array([[-0.5, 0.1], [0.0, 0.1], [0.5, 0.1]])
     batch = np.stack([line, tris[0], line[::-1], tris[1]])
-    values, witnesses = metric._thinness_many(dom, batch, 8)
+    values, witnesses = metric._thinness_many(dom, batch)
     for t, value, witness in zip(batch, values, witnesses):
         assert (value, witness) == _reference_triangle_thinness(dom, *t)
     assert witnesses[0]["degenerate"] and witnesses[2]["degenerate"]
     assert values[0] == values[2] == 0.0 and min(values[1], values[3]) > 0.0
-    assert triangle_thinness(dom, *batch[1]) == (values[1], witnesses[1])
+    # a triangle alone reads as it does in the batch
+    one_value, one_witness = metric._thinness_many(dom, batch[1:2])
+    assert (one_value[0], one_witness[0]) == (values[1], witnesses[1])
+    # a collinear triple through the disk's centre, alone
+    one_value, one_witness = metric._thinness_many(unit_disk(), np.array([[[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]]))
+    assert one_value[0] == 0.0 and one_witness[0]["degenerate"] is True
 
 
 def _segment_rows(dom, n, seed):

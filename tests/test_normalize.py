@@ -28,7 +28,6 @@ from hilbertgeom.errors import (
 from hilbertgeom.metric import hilbert_distances
 from hilbertgeom.normalize import (
     GraphStrip,
-    NormalizationResult,
     _candidate,
     boundary_graph,
     graph_alpha_fit,
@@ -295,7 +294,7 @@ def test_six_labelings_give_alpha_and_its_complement(name):
     for T in _spread_triangles(dom, np.random.default_rng(3), 3):
         V = T.vertices()
         lines = [dom.supporting_line(v) for v in V]
-        alphas = {perm: _candidate(dom, V, lines, perm)["alpha"] for perm in itertools.permutations(range(3))}
+        alphas = {perm: _candidate(dom, V, lines, perm).alpha for perm in itertools.permutations(range(3))}
         a0 = alphas[(0, 1, 2)]
         for perm, alpha in alphas.items():
             assert alpha == pytest.approx(a0 if perm in _EVEN else 1.0 - a0, abs=1e-7), perm
@@ -307,19 +306,8 @@ def _six_labeling_search(domain, T):
     V = T.vertices()
     lines = [domain.supporting_line(v) for v in V]
     candidates = [_candidate(domain, V, lines, perm) for perm in itertools.permutations(range(3))]
-    best_alpha = min(c["alpha"] for c in candidates)
-    chosen = next(c for c in candidates if c["alpha"] <= best_alpha + 1e-9)
-    H = chosen["H"]
-    H = H / H[np.unravel_index(np.argmax(np.abs(H)), H.shape)]
-    return NormalizationResult(
-        matrix=H,
-        domain=chosen["image"],
-        alpha=chosen["alpha"],
-        vertex_residual=chosen["vertex_res"],
-        tangency_residual=chosen["tangency_res"],
-        permutation=chosen["perm"],
-        e_report=chosen["alpha"],
-    )
+    best_alpha = min(c.alpha for c in candidates)
+    return next(c for c in candidates if c.alpha <= best_alpha + 1e-9)
 
 
 def test_two_labelings_match_six_labeling_search():

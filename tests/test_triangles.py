@@ -162,7 +162,6 @@ def test_sup_area_search_disk():
     res = sup_area_search(unit_disk(), TriangleSamplerConfig(budget=2, seed=0))
     assert res.samples_used == 2
     assert len(res.divergent) == 0
-    assert not res.any_diverged
     assert res.max_value == pytest.approx(DISK_SUP_BUDGET2_SEED0, rel=1e-9)
     assert res.max_value == pytest.approx(math.pi, rel=5e-3)
 
@@ -178,7 +177,6 @@ def test_sup_area_result_max_value_includes_divergent():
     conv = QuadratureEstimate(value=2.0, error_bound=0.1, depth=3, diverged=False)
     div = QuadratureEstimate(value=9.0, error_bound=1.0, depth=3, diverged=True)
     res = SupAreaResult(best_triangle=None, best_estimate=conv, divergent=((None, div),), samples_used=4)
-    assert res.any_diverged
     assert res.max_value == 9.0
 
 
@@ -320,13 +318,6 @@ def test_lock_step_pieces_match_sequential_region_areas(dom, ts, diverged):
     assert any(lad.diverged for lad in ladders) == diverged
 
 
-# density points the one-point cell rule (each cell valued at its centroid)
-# with a budget of 1500 cells evaluated on each capped piece of a
-# corner-offset square, when pieces were fanned about their vertex centroid
-# (the fan's 4 cells and their children, then 374 refined cells of 16 points)
-CENTROID_RULE_PIECE_POINTS = 6004
-
-
 def _counting_densities(monkeypatch):
     rows = []
     real = measure.densities
@@ -349,7 +340,6 @@ def test_capped_piece_stays_within_its_point_budget(monkeypatch, rung):
     points = sum(rows)
     # the budget stopped refinement: less than one more refined cell was left
     assert PIECE_MAX_POINTS - 4 * len(_CELL_WEIGHTS) < points <= PIECE_MAX_POINTS
-    assert points <= CENTROID_RULE_PIECE_POINTS
     assert est.diverged
 
 
