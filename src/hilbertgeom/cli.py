@@ -238,6 +238,8 @@ def _resolve_defaults(args) -> None:
         raise ValueError("tol must be positive")
     if args.budget < 1:
         raise ValueError("budget must be at least 1")
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
     # verify suites keep their own default budget unless one is given
     args.budget_raw = args.budget if budget_given else None
 

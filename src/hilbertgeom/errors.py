@@ -38,7 +38,8 @@ class StripTooWide(GeometryError):
 
 
 class SingularConstraints(GeometryError):
-    """The normalization constraint system is degenerate."""
+    """The normal form is degenerate: a vertex lies on another vertex's
+    supporting line, or the three vertices on one line."""
 
 
 class InsufficientSignal(GeometryError):

@@ -5,11 +5,12 @@ The normal form sends the vertices to (1,0), (0,1), (1,1) and the
 supporting lines at the first two vertices to the coordinate axes.  The
 remaining freedom is a single shape parameter: the image of the third
 supporting line crosses the axes at (1/alpha, 0) and (0, 1/(1-alpha)).
-alpha/(1-alpha) is the Ceva product of the tangency points on the
+alpha/(1-alpha) is the Ceva product kappa of the tangency points on the
 triangle of supporting lines, so a cyclic relabeling of the vertices keeps
-alpha and a transposition replaces it by 1-alpha.  alpha is reported in
-(0, 1/2] (up to a 1e-9 tie) by solving the identity labeling and, only if
-that gives alpha > 1/2, its mirror.
+alpha and a transposition replaces it by 1-alpha.  The map is written down
+from the incidences of vertices and supporting lines, no solve, and kappa
+of the identity labeling picks that labeling or its mirror first, so that
+alpha is reported in (0, 1/2] (up to a 1e-9 tie).
 
 Boundary graphs describe the boundary near a tangency point as a convex
 function over the supporting line, sampled by the domain's own chord cast;
@@ -42,6 +43,7 @@ FIT_WINDOW = 1.0 / 3.0  # fraction of rho used by the exponent fit
 _MIN_FIT_POINTS = 8
 _SIGNAL_FLOOR = 1e-13
 _ALPHA_TIE = 1e-9
+_SINGULAR_FLOOR = 1e-12  # incidences relative to the domain's scale
 
 
 @dataclass(frozen=True)
@@ -183,35 +185,7 @@ def graph_alpha_fit(strip: GraphStrip) -> AlphaFit:
 _TARGETS = np.array(
     [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
 )  # homogeneous images of the three vertices
-
-
-def _point_rows(v: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows enforcing H*v parallel to target (cross product is zero)."""
-    vh = np.array([v[0], v[1], 1.0])
-    rows = np.zeros((3, 9))
-    tx, ty, tz = target
-    rows[0, 3:6] = tz * vh
-    rows[0, 6:9] = -ty * vh
-    rows[1, 6:9] = tx * vh
-    rows[1, 0:3] = -tz * vh
-    rows[2, 0:3] = ty * vh
-    rows[2, 3:6] = -tx * vh
-    return rows
-
-
-def _line_rows(ell: np.ndarray, which_row: int) -> np.ndarray:
-    """Rows enforcing row ``which_row`` of H parallel to the covector ``ell``.
-
-    The supporting line at the first vertex must map to the x-axis, whose
-    covector is e_y; since covectors pull back by H^T, this pins row 1 of H
-    to the line's coefficients (row 0 for the y-axis).
-    """
-    rows = np.zeros((3, 9))
-    c = slice(3 * which_row, 3 * which_row + 3)
-    rows[0, c] = np.array([0.0, ell[2], -ell[1]])
-    rows[1, c] = np.array([-ell[2], 0.0, ell[0]])
-    rows[2, c] = np.array([ell[1], -ell[0], 0.0])
-    return rows
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -245,43 +219,54 @@ def _aligned_line_residual(line: Line2, target: np.ndarray) -> float:
     return float(np.max(np.abs(sign * ell - target)))
 
 
+def _incidences(domain: ConvexDomain, V: np.ndarray, lines, perm):
+    """Homogeneous vertices A, supporting covectors L, incidences
+    E[i, j] = L[i] . A[j], n = A[0] x A[1] and alpha in the labeling
+    ``perm``; see :func:`_candidate`."""
+    A = np.concatenate([V[list(perm)], np.ones((3, 1))], axis=1)
+    L = np.array([lines[i].as_covector() for i in perm])
+    E, n = L @ A.T, np.cross(A[0], A[1])
+    floor = _SINGULAR_FLOOR * domain.scale()
+    if np.min(np.abs(E[_OFF_DIAGONAL])) < floor or abs(n @ A[2]) < floor * domain.scale():
+        raise SingularConstraints("a vertex lies on another's supporting line, or on the line of the other two")
+    kappa = float(E[0, 2] * E[1, 0] * E[2, 1] / (E[0, 1] * E[1, 2] * E[2, 0]))
+    return A, L, E, n, (kappa / (1.0 + kappa) if kappa > 0.0 else np.nan)
+
+
 def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> NormalizationResult:
-    A_rows = []
-    for k, idx in enumerate(perm):
-        A_rows.append(_point_rows(V[idx], _TARGETS[k]))
-    ell_a = np.asarray(lines[perm[0]].as_covector())
-    ell_b = np.asarray(lines[perm[1]].as_covector())
-    A_rows.append(_line_rows(ell_a, 1))
-    A_rows.append(_line_rows(ell_b, 0))
-    A = np.concatenate(A_rows)
-    _, sv, Vh = np.linalg.svd(A)
-    if sv[-2] < 1e-10 * sv[0]:
-        raise SingularConstraints("normalization constraints are rank deficient")
-    H = Vh[-1].reshape(3, 3)
+    """Normal form for the labeling ``perm``, written down in closed form.
+
+    E[i, j] is the signed distance from vertex j to the supporting line at
+    vertex i.  The rows H[0] = L[1] / E[1, 2], H[1] = L[0] / E[0, 2] and
+    H[2] = H[0] + H[1] - n / (n . A[2]) send the vertices to (1,0), (0,1),
+    (1,1) and pull the axes back to the first two supporting lines.  The
+    third line's image then has alpha = kappa / (1 + kappa), with kappa the
+    Ceva product E[0,2] E[1,0] E[2,1] / (E[0,1] E[1,2] E[2,0]).  The
+    residuals measure these incidences through the map.
+    ``SingularConstraints`` when an off-diagonal |E| is below 1e-12 times
+    the domain's scale, or |n . A[2]| below 1e-12 times its square;
+    ``ImproperImage`` from the image or for alpha outside (0, 1).
+    """
+    A, L, E, n, alpha = _incidences(domain, V, lines, perm)
+    if not 0.0 < alpha < 1.0:
+        raise ImproperImage("shape parameter fell outside (0, 1)")
+    H = np.stack([L[1] / E[1, 2], L[0] / E[0, 2], np.zeros(3)])
+    H[2] = H[0] + H[1] - n / (n @ A[2])
+    # fix the overall scale for readability: unit largest entry, positive
+    H = H / H[np.unravel_index(np.argmax(np.abs(H)), H.shape)]
     M = ProjectiveMap(H)
     image = ProjectiveImage(domain, M)  # may raise ImproperImage
 
-    ell_c = M.push_line(lines[perm[2]])
-    denom = ell_c.u + ell_c.v
-    if abs(denom) < 1e-300:
-        raise SingularConstraints("third supporting line maps through the vertex")
-    alpha = float(ell_c.u / denom)
-    if not (0.0 < alpha < 1.0):
-        raise ImproperImage("shape parameter fell outside (0, 1)")
-
-    mapped = M.apply_many(V[list(perm)])
-    vertex_res = float(np.max(np.abs(mapped - _TARGETS[:, :2])))
+    vertex_res = float(np.max(np.abs(M.apply_many(A[:, :2]) - _TARGETS[:, :2])))
     res_a = _aligned_line_residual(M.push_line(lines[perm[0]]), np.array([0.0, 1.0, 0.0]))
     res_b = _aligned_line_residual(M.push_line(lines[perm[1]]), np.array([1.0, 0.0, 0.0]))
-    res_c = abs(ell_c.u * 1.0 + ell_c.v * 1.0 + ell_c.w)
-    # fix the overall scale for readability: unit largest entry, positive
-    pivot = np.unravel_index(np.argmax(np.abs(H)), H.shape)
+    ell_c = M.push_line(lines[perm[2]])
     return NormalizationResult(
-        matrix=H / H[pivot],
+        matrix=H,
         domain=image,
         alpha=alpha,
         vertex_residual=vertex_res,
-        tangency_residual=max(res_a, res_b, float(res_c)),
+        tangency_residual=max(res_a, res_b, float(abs(ell_c.u + ell_c.v + ell_c.w))),
         permutation=perm,
         e_report=alpha,
     )
@@ -290,24 +275,22 @@ def _candidate(domain: ConvexDomain, V: np.ndarray, lines, perm) -> Normalizatio
 def normalize_triangle_pointed(domain: ConvexDomain, T: IdealTriangle) -> NormalizationResult:
     """Normal form of (domain, ideal triangle) with minimal shape parameter.
 
-    alpha/(1-alpha) is the Ceva product of the three tangency points on the
-    triangle of supporting lines.  A cyclic relabeling of the vertices keeps
-    that product and a transposition inverts it, so the six labelings give
-    only alpha and 1-alpha: solving the identity labeling and, when its
-    alpha exceeds 1-alpha by more than 1e-9, the mirror labeling (0, 2, 1)
-    covers them all.  The tie rule keeps the identity for alpha up to
-    1/2 + 1e-9/2, which makes normalizing an already-normalized
-    configuration return the identity.  ``ImproperImage`` and
-    ``SingularConstraints`` from the solve propagate.
+    A cyclic relabeling of the vertices keeps the Ceva product kappa and a
+    transposition inverts it, so the six labelings give only alpha and
+    1-alpha.  kappa of the identity labeling picks the labeling before any
+    map is built: the identity, or the mirror (0, 2, 1) when the identity's
+    alpha exceeds 1-alpha by more than 1e-9.  The tie rule keeps the
+    identity for alpha up to 1/2 + 1e-9/2, which makes normalizing an
+    already-normalized configuration return the identity.
+    ``ImproperImage`` and ``SingularConstraints`` from :func:`_candidate`
+    propagate.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
     V = T.vertices()
     lines = [domain.supporting_line(v) for v in V]
-    chosen = _candidate(domain, V, lines, (0, 1, 2))
-    if chosen.alpha > (1.0 - chosen.alpha) + _ALPHA_TIE:
-        chosen = _candidate(domain, V, lines, (0, 2, 1))
-    return chosen
+    alpha = _incidences(domain, V, lines, (0, 1, 2))[-1]
+    return _candidate(domain, V, lines, (0, 2, 1) if alpha > (1.0 - alpha) + _ALPHA_TIE else (0, 1, 2))
 
 
 def normalize_many(domain_triangle_pairs) -> list:

@@ -53,11 +53,15 @@ class SampledFunction:
             raise ValueError("grid length must be 4k+1 so x = ±a are grid points")
         if not 0.0 < self.a < math.inf:
             raise ValueError("half-width a must be positive and finite")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sampled values must be finite")
         object.__setattr__(self, "values", v)
         if self.derivative is not None:
             d = np.asarray(self.derivative, dtype=float)
             if d.shape != v.shape:
                 raise ValueError("derivative grid must match the value grid")
+            if not np.all(np.isfinite(d)):
+                raise ValueError("sampled derivative must be finite")
             object.__setattr__(self, "derivative", d)
 
     @property

@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from hilbertgeom.cli import SWEEP_HEADER, main
 from hilbertgeom.domains import (
@@ -18,7 +17,7 @@ from hilbertgeom.domains import (
     unit_disk,
 )
 from hilbertgeom.errors import ImproperImage
-from hilbertgeom.measure import ball_area, density, region_area
+from hilbertgeom.measure import ball_area, density
 from hilbertgeom.metric import hilbert_distance, hilbert_distances
 from hilbertgeom.normalize import boundary_graph, graph_alpha_fit, normalize_triangle_pointed
 from hilbertgeom.regularity import (

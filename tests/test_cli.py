@@ -202,6 +202,18 @@ def test_verify_budget_below_one_exits_2(tmp_path, capsys, budget):
     assert "budget must be at least 1" in err
 
 
+@pytest.mark.parametrize("seed", [-1, -4])
+def test_negative_seed_exits_2(tmp_path, capsys, seed):
+    code, out, err = _run(capsys, ["verify", "comparison", "--seed", str(seed), "--budget", "1"])
+    assert (code, out) == (2, "")
+    assert "seed must be non-negative" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    code, out, err = _run(capsys, ["verify", "comparison", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "seed must be non-negative" in err
+
+
 @pytest.mark.parametrize(
     "field",
     [{"budget": 2.5}, {"budget": True}, {"budget": "4"}, {"seed": 1.9}, {"seed": False}, {"seed": None},

@@ -8,6 +8,7 @@ from hilbertgeom import normalize as normalize_module
 from hilbertgeom.cli import main
 from hilbertgeom.domains import (
     Ellipse,
+    Line2,
     PBall,
     Polygon,
     PowerCap,
@@ -41,6 +42,7 @@ P4_ASYMMETRIC_ALPHA = 0.20280594289506867
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 TARGETS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+TARGETS3 = np.concatenate([TARGETS, np.ones((3, 1))], axis=1)
 
 
 def test_boundary_graph_disk_matches_circle():
@@ -331,6 +333,49 @@ def test_two_labelings_match_six_labeling_search():
             # settle on another labeling of the same parity
             assert abs(got.alpha - ref.alpha) <= 1e-8
             assert (got.permutation in _EVEN) == (ref.permutation in _EVEN)
+
+
+def _skew(c):
+    """[c]_x, the matrix of x -> c x x."""
+    return np.array([[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]])
+
+
+def _svd_matrix(V, lines, perm):
+    """Reference: the normal-form matrix as the null vector of a 15 x 9
+    homogeneous system in the row-major entries h of H: target_k x H a_k = 0
+    for each vertex (H a = kron(I, a) h), and row 1 (row 0) of H parallel
+    to the first (second) supporting line."""
+    rows = [_skew(TARGETS3[k]) @ np.kron(np.eye(3), [V[i][0], V[i][1], 1.0]) for k, i in enumerate(perm)]
+    rows.append(_skew(lines[perm[0]].as_covector()) @ np.eye(9)[3:6])
+    rows.append(_skew(lines[perm[1]].as_covector()) @ np.eye(9)[0:3])
+    _, sv, Vh = np.linalg.svd(np.concatenate(rows))
+    assert sv[-2] >= 1e-10 * sv[0]
+    H = Vh[-1].reshape(3, 3)
+    return H / H[np.unravel_index(np.argmax(np.abs(H)), H.shape)]
+
+
+@pytest.mark.parametrize("name", sorted(_labeling_domains()))
+def test_closed_form_matches_svd_oracle(name):
+    dom = _labeling_domains()[name]
+    for T in _spread_triangles(dom, np.random.default_rng(3), 3):
+        V = T.vertices()
+        lines = [dom.supporting_line(v) for v in V]
+        for perm in itertools.permutations(range(3)):
+            got, ref = _candidate(dom, V, lines, perm).matrix, _svd_matrix(V, lines, perm)
+            # both are pivot-scaled; a tie for the largest entry can flip the sign
+            assert min(np.max(np.abs(got - ref)), np.max(np.abs(got + ref))) <= 1e-12, perm
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_vertex_on_another_supporting_line_is_singular(perm):
+    disk, tri = _symmetric_disk_triangle()
+    V = tri.vertices()
+    lines = [disk.supporting_line(v) for v in V]
+    # the line through the second and third vertex makes E[1, 2] vanish
+    b, c = V[perm[1]], V[perm[2]]
+    lines[perm[1]] = Line2.through(b, [b[1] - c[1], c[0] - b[0]])
+    with pytest.raises(SingularConstraints):
+        _candidate(disk, V, lines, perm)
 
 
 @pytest.mark.parametrize("exc", [ImproperImage, SingularConstraints])

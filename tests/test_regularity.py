@@ -195,6 +195,16 @@ def test_half_width_must_be_positive_and_finite(a):
         chain_constants(2.0, a)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["values", "derivative"])
+def test_sampled_function_rejects_non_finite_samples(field, bad):
+    f = _square_fn()
+    samples = {"values": f.values.copy(), "derivative": f.derivative.copy()}
+    samples[field][len(f.values) // 2 + 3] = bad  # inside [-a, a]
+    with pytest.raises(ValueError, match=f"sampled {field} must be finite"):
+        SampledFunction(a=f.a, **samples)
+
+
 def _two_direction_pair_sup(num, den):
     """Reference: divide each direction separately, as the constants are
     defined."""
