@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .domains import PBall, SmoothedPolygon, domain_from_json, regular_polygon
-from .errors import GeometryError, PointNotInterior
+from .errors import GeometryError
 from .metric import FourPointConfig, ThinTriangleConfig, delta_four_point, delta_thin, hilbert_distance
 from .normalize import normalize_triangle_pointed
 from .suites import run_suite
@@ -77,37 +77,26 @@ def _fail_usage(message: str) -> int:
 
 
 def cmd_dist(args) -> int:
-    try:
-        domain = _load_domain(args.spec)
-        d = hilbert_distance(domain, (args.coords[0], args.coords[1]), (args.coords[2], args.coords[3]))
-    except PointNotInterior:
-        return _fail_usage("point not interior")
-    except (GeometryError, ValueError) as exc:
-        return _fail_usage(str(exc))
+    domain = _load_domain(args.spec)
+    d = hilbert_distance(domain, (args.coords[0], args.coords[1]), (args.coords[2], args.coords[3]))
     _emit("0" if d == 0.0 else f"{d:.6f}", args.out)
     return EXIT_OK
 
 
 def cmd_area(args) -> int:
-    try:
-        domain = _load_domain(args.spec)
-        tri = make_ideal_triangle(domain, *args.params)
-        if not tri.validity:
-            return _fail_usage(f"invalid ideal triangle: {tri.invalid_reason}")
-        est = ideal_triangle_area(domain, tri, tol=args.tol)
-    except (GeometryError, ValueError) as exc:
-        return _fail_usage(str(exc))
+    domain = _load_domain(args.spec)
+    tri = make_ideal_triangle(domain, *args.params)
+    if not tri.validity:
+        return _fail_usage(f"invalid ideal triangle: {tri.invalid_reason}")
+    est = ideal_triangle_area(domain, tri, tol=args.tol)
     _emit(json.dumps(est.to_jsonable()), args.out)
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
-    try:
-        domain = _load_domain(args.spec)
-        tri = make_ideal_triangle(domain, *args.params)
-        result = normalize_triangle_pointed(domain, tri)
-    except (GeometryError, ValueError) as exc:
-        return _fail_usage(str(exc))
+    domain = _load_domain(args.spec)
+    tri = make_ideal_triangle(domain, *args.params)
+    result = normalize_triangle_pointed(domain, tri)
     _emit(json.dumps(result.to_jsonable()), args.out)
     return EXIT_OK
 
@@ -134,27 +123,22 @@ def cmd_sweep(args) -> int:
         return _fail_usage("empty parameter grid")
     budget = args.budget
     rows = []
-    try:
-        for param in grid:
-            label, domain = _sweep_domain(args.family, float(param), args.sides)
-            thin = delta_thin(domain, ThinTriangleConfig(budget=budget, seed=args.seed))
-            four = delta_four_point(domain, FourPointConfig(budget=40 * budget, seed=args.seed))
-            sup = sup_area_search(
-                domain, TriangleSamplerConfig(budget=max(4, budget // 4), seed=args.seed, tol=args.tol)
+    for param in grid:
+        label, domain = _sweep_domain(args.family, float(param), args.sides)
+        thin = delta_thin(domain, ThinTriangleConfig(budget=budget, seed=args.seed))
+        four = delta_four_point(domain, FourPointConfig(budget=40 * budget, seed=args.seed))
+        sup = sup_area_search(domain, TriangleSamplerConfig(budget=max(4, budget // 4), seed=args.seed, tol=args.tol))
+        rows.append(
+            SweepRow(
+                label=label,
+                param=float(param),
+                delta_thin=thin.delta_hat,
+                delta_4pt=four.delta_hat,
+                sup_area=sup.max_value,
+                diverged=len(sup.divergent),
+                seed=args.seed,
             )
-            rows.append(
-                SweepRow(
-                    label=label,
-                    param=float(param),
-                    delta_thin=thin.delta_hat,
-                    delta_4pt=four.delta_hat,
-                    sup_area=sup.max_value,
-                    diverged=len(sup.divergent),
-                    seed=args.seed,
-                )
-            )
-    except (GeometryError, ValueError) as exc:
-        return _fail_usage(str(exc))
+        )
     lines = [SWEEP_HEADER] + [r.csv() for r in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -248,13 +232,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            _resolve_defaults(args)
-        except (TypeError, ValueError) as exc:
-            return _fail_usage(str(exc))
+        _resolve_defaults(args)
         return args.func(args)
-    except OSError as exc:
-        # an unreadable --spec or --config file, or an unwritable --out
+    except (GeometryError, ValueError, OSError) as exc:
+        # an input the library refuses, an unreadable --spec or --config
+        # file, or an unwritable --out
         return _fail_usage(str(exc))
 
 

@@ -57,6 +57,13 @@ _BALL_ROWS = 1024
 # unit-ball directions per density point of a metric-ball level: PBall(4) balls
 # (R in [2.5, 3.2] about points within 0.3 of 0) drift by 6e-5 from 256 directions
 _BALL_DENSITY_DIRS = 32
+# a metric ball's first level: trapezoid angles and Gauss-Legendre shells,
+# both even because each level's coarser rules halve them.  Each further
+# level doubles both, up to 768 x 192 at the last; every benchmark ball is
+# accepted at the first, and 6 of the ball-growth suite's 22 at the second
+_BALL_DIRS = 48
+_BALL_RADIAL = 12
+_BALL_MAX_DEPTH = 4
 # rounding allowed per term of a metric-ball level, times its conditioning:
 # disk balls, which both rules integrate to rounding, differ from the level
 # with twice the nodes of each rule by at most 1.4 ulps per term so scaled
@@ -143,12 +150,7 @@ def _ball_frames(domain: ConvexDomain, P: np.ndarray):
     return tau, nin, a, b
 
 
-def unit_ball_areas(
-    domain: ConvexDomain,
-    P,
-    n_dirs: int = 96,
-    validate: bool = True,
-) -> np.ndarray:
+def unit_ball_areas(domain: ConvexDomain, P, n_dirs: int = 96) -> np.ndarray:
     """Areas of the Finsler unit balls at the given interior points, by ray
     quadrature on every domain class.
 
@@ -170,13 +172,12 @@ def unit_ball_areas(
     of both psi and psi + pi.  ``n_dirs`` must be an integer >= 16; an odd
     count is rounded up to the next even one.
 
-    With ``validate`` a point not strictly interior raises
-    ``PointNotInterior``; without, its area is NaN.  Points are processed in
-    chunks of at most ``_BALL_ROWS``, which bounds the (points x directions)
-    ray arrays; every point's area is computed on its own row, so chunking
-    does not change it.
+    A point not strictly interior raises ``PointNotInterior``.  Points are
+    processed in chunks of at most ``_BALL_ROWS``, which bounds the (points x
+    directions) ray arrays; every point's area is computed on its own row, so
+    chunking does not change it.
     """
-    P, n_dirs = _ball_points(domain, P, n_dirs, validate)
+    P, n_dirs = _ball_points(domain, P, n_dirs, validate=True)
     return _by_chunks(lambda Q: _unit_ball_areas(domain, Q, n_dirs), P)
 
 
@@ -228,8 +229,8 @@ def _unit_ball_areas(domain: ConvexDomain, P: np.ndarray, n_dirs: int) -> np.nda
     return (2.0 * np.pi / n_dirs) * integrand.sum(axis=1)
 
 
-def unit_ball_area(domain: ConvexDomain, p, n_dirs: int = 96) -> float:
-    return float(unit_ball_areas(domain, as_point(p)[None, :], n_dirs=n_dirs)[0])
+def unit_ball_area(domain: ConvexDomain, p) -> float:
+    return float(unit_ball_areas(domain, as_point(p)[None, :])[0])
 
 
 def densities(
@@ -260,8 +261,8 @@ def densities(
     return np.minimum(h, DENSITY_CLIP, out=h)
 
 
-def density(domain: ConvexDomain, p, n_dirs: int = 96) -> float:
-    return float(densities(domain, as_point(p)[None, :], n_dirs=n_dirs)[0])
+def density(domain: ConvexDomain, p) -> float:
+    return float(densities(domain, as_point(p)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -544,58 +545,42 @@ def _ball_level(domain: ConvexDomain, q: np.ndarray, R: float, n_psi: int, n_r: 
     return value, angular_error + radial_error + rounding
 
 
-def ball_area(
-    domain: ConvexDomain,
-    q,
-    R: float,
-    tol: float = 1e-3,
-    n_dirs: int = 48,
-    n_radial: int = 12,
-    max_depth: int = 4,
-) -> QuadratureEstimate:
+def ball_area(domain: ConvexDomain, q, R: float, tol: float = 1e-3) -> QuadratureEstimate:
     """Hilbert measure of the metric ball of radius R centered at q.
 
     Integrates the density over polar shells about q (:func:`_ball_level`):
-    ``n_dirs`` trapezoid nodes in the adapted-frame angle psi, ``n_radial``
-    Gauss-Legendre shells in the Hilbert radius, each shell located by the
-    closed-form inverse of the Hilbert distance along its chord.  Level k
-    doubles both counts k times, so the defaults start at 48 x 12 and
-    ``max_depth=4`` tops out at 768 x 192.  The first level, from 0 up to
-    ``max_depth``, whose embedded estimate (angular, radial and rounding) is
-    at most ``tol`` times its value is returned with that estimate as
-    ``error_bound`` and the level as ``depth``, so depth 0 means the first
-    level was accepted.  From level 1 on, refinement also stops at the first
-    level whose estimate is not below the level before: the rules have then
-    run into an error they do not see, such as the density's own angular
-    error, which the estimate leaves out.  That level is returned, or the
-    level at the cap, with ``error_bound`` above ``tol * |value|`` saying
-    that ``tol`` was not reached, and marked diverged when its value still
-    grew by more than a factor 1 + tol over the level before.
+    trapezoid nodes in the adapted-frame angle psi and Gauss-Legendre shells
+    in the Hilbert radius, each shell located by the closed-form inverse of
+    the Hilbert distance along its chord.  Level k doubles both counts k
+    times, from ``_BALL_DIRS`` x ``_BALL_RADIAL`` at level 0 up to level
+    ``_BALL_MAX_DEPTH``.  The first level whose embedded estimate (angular,
+    radial and rounding) is at most ``tol`` times its value is returned with
+    that estimate as ``error_bound`` and the level as ``depth``, so depth 0
+    means the first level was accepted.  From level 1 on, refinement also
+    stops at the first level whose estimate is not below the level before:
+    the rules have then run into an error they do not see, such as the
+    density's own angular error, which the estimate leaves out.  That level
+    is returned, or the level at the cap, with ``error_bound`` above
+    ``tol * |value|`` saying that ``tol`` was not reached, and marked
+    diverged when its value still grew by more than a factor 1 + tol over
+    the level before.
 
     Caution: ``error_bound`` leaves out that error even when a level is
     accepted.  It is about 5.5e-5 relative per density point at the 32
     unit-ball directions of a ball node (median, PBall(4)), which at these
     levels can exceed the level's estimate.
-
-    ``n_dirs`` and ``n_radial`` must be even integers >= 2 (the coarser
-    rules halve them) and ``max_depth`` an integer >= 1.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    for name, n in (("n_dirs", n_dirs), ("n_radial", n_radial)):
-        _require_count(name, n)
-        if n % 2:
-            raise ValueError(f"{name} must be even, not {n!r}")
-    _require_count("max_depth", max_depth)
     q = as_point(q)
     if not domain.contains(q):
         raise PointNotInterior("point not interior")
     if not 0.0 < R < math.inf:
         raise ValueError("radius must be positive and finite")
     value = error = math.nan
-    for level in range(max_depth + 1):
+    for level in range(_BALL_MAX_DEPTH + 1):
         value_prev, error_prev = value, error
-        value, error = _ball_level(domain, q, R, n_dirs * 2 ** level, n_radial * 2 ** level)
+        value, error = _ball_level(domain, q, R, _BALL_DIRS * 2 ** level, _BALL_RADIAL * 2 ** level)
         if error <= tol * abs(value):
             return QuadratureEstimate(value=value, error_bound=error, depth=level, diverged=False)
         if level >= 1 and error >= error_prev:

@@ -77,12 +77,14 @@ def hilbert_distance(domain: ConvexDomain, p, q) -> float:
     return float(hilbert_distances(domain, as_point(p)[None, :], as_point(q)[None, :])[0])
 
 
-def finsler_norms(domain: ConvexDomain, P, V, validate: bool = True) -> np.ndarray:
-    """Row-wise Finsler norms (1/2)|v| (1/t- + 1/t+); zero rows give 0."""
+def finsler_norms(domain: ConvexDomain, P, V) -> np.ndarray:
+    """Row-wise Finsler norms (1/2)|v| (1/t- + 1/t+); zero rows give 0.
+
+    A base point not strictly interior raises ``PointNotInterior``.
+    """
     P = as_points(P)
     V = as_points(V)
-    if validate:
-        _require_interior(domain, P, "base point")
+    _require_interior(domain, P, "base point")
     speed = np.hypot(V[:, 0], V[:, 1])
     out = np.zeros(len(P))
     move = np.flatnonzero(speed > 0.0)

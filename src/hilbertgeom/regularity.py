@@ -24,6 +24,8 @@ from .domains import as_point
 from .errors import InsufficientSignal, NotConvex, PreconditionViolated
 from .normalize import boundary_graph
 
+# samples per boundary graph of a regularity report, and the default of
+# SampledFunction.from_callable: 4k + 1, so x = ±a are grid points
 GRID_SIZE = 1025
 MIN_GRID = 65
 _RATIO_EPS = 1e-14
@@ -182,11 +184,11 @@ class RegularityReport:
         }
 
 
-def holder_bound_check(f: SampledFunction, H: float = None) -> RegularityReport:
+def holder_bound_check(f: SampledFunction, H: float) -> RegularityReport:
     """Check f(x) <= 160 (H2 + 1) M(f) |x|^alpha on the sample's [-a, a].
 
-    ``H`` defaults to the measured quasi-symmetric convexity constant (the
-    function must then carry derivatives); M(f) = max(f(-a), f(a)).
+    ``H`` is the quasi-symmetric convexity constant the chain starts from,
+    usually :func:`qsc_constant` of f; M(f) = max(f(-a), f(a)).
     """
     v = f.values
     a = f.a
@@ -196,8 +198,6 @@ def holder_bound_check(f: SampledFunction, H: float = None) -> RegularityReport:
         raise PreconditionViolated("f(0) must vanish")
     if np.min(v) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
         raise PreconditionViolated("f must be nonnegative")
-    if H is None:
-        H = qsc_constant(f if f.derivative is not None else f.with_central_derivative())
     quarter = (n - 1) // 4
     M = max(float(v[quarter]), float(v[3 * quarter]))
     H2, alpha = chain_constants(H, a)
@@ -241,11 +241,13 @@ def derivative_holder_check(f: SampledFunction) -> DerivativeHolderResult:
     return DerivativeHolderResult(passed=margin >= MARGIN_TOL, margin=float(margin), alpha=alpha)
 
 
-def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_SIZE) -> RegularityReport:
+def boundary_regularity_report(domain, point) -> RegularityReport:
     """Full constant chain for the boundary graph at a tangency point.
 
     Extracts the graph over the supporting line (frame chosen from the
-    outward normal), measures H on it, and runs the Hölder bound check.
+    outward normal) on ``GRID_SIZE`` samples, measures H on it, and runs the
+    Hölder bound check.  The strip's half-width rho is a quarter of the
+    boundary's smaller extent along the tangent on either side of the point.
     A flat graph (polygon edge) yields the degenerate chain with the
     ``non_strictly_convex`` flag set.
     """
@@ -253,14 +255,13 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
     line = domain.supporting_line(p0)
     x_dir = np.array([-line.v, line.u])
     frame = np.stack([x_dir, np.array([-line.u, -line.v])])
-    if rho is None:
-        # stay in the near-tangency regime: wide strips mix in curvature
-        # variation and inflate H even for the circle
-        B = (domain.boundary_samples(1024) - p0) @ frame.T
-        rho = 0.25 * min(-float(np.min(B[:, 0])), float(np.max(B[:, 0])))
-        if rho <= 0:
-            raise InsufficientSignal("no strip width available at this point")
-    strip = boundary_graph(domain, p0, frame, rho, n=n)
+    # stay in the near-tangency regime: wide strips mix in curvature
+    # variation and inflate H even for the circle
+    B = (domain.boundary_samples(1024) - p0) @ frame.T
+    rho = 0.25 * min(-float(np.min(B[:, 0])), float(np.max(B[:, 0])))
+    if rho <= 0:
+        raise InsufficientSignal("no strip width available at this point")
+    strip = boundary_graph(domain, p0, frame, rho, n=GRID_SIZE)
     a = rho / 2.0
     f = SampledFunction(a=a, values=strip.f).with_central_derivative()
     flat = float(np.max(strip.f)) < 1e-13
@@ -272,6 +273,6 @@ def boundary_regularity_report(domain, point, rho: float = None, n: int = GRID_S
     H = qsc_constant(f)
     if not np.isfinite(H):
         return RegularityReport(H=math.inf, H2=math.inf, alpha=1.0,
-                                M=float(max(strip.f[(n - 1) // 4], strip.f[3 * ((n - 1) // 4)])),
+                                M=float(max(strip.f[(GRID_SIZE - 1) // 4], strip.f[3 * ((GRID_SIZE - 1) // 4)])),
                                 bound_margin=-math.inf, non_strictly_convex=True)
     return holder_bound_check(f, H=H)

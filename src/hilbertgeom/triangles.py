@@ -26,6 +26,8 @@ from .errors import DegenerateVertices, InvalidTriangle
 from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
+# cuts per corner ladder, at side fractions 2^-1 ... 2^-12: 11 trapezoids,
+# at least the 3 that the tail test compares.  Read at call time
 LADDER_DEPTH = 12
 # refinement of the medial triangle and each ladder piece (19-point cells
 # checked by their embedded 7-point rule, see measure.region_area): depth
@@ -189,18 +191,12 @@ def _ladder(estimates) -> CornerLadder:
                         diverged=False, error=err)
 
 
-def ideal_triangle_area_detail(
-    domain: ConvexDomain,
-    T: IdealTriangle,
-    tol: float = 1e-3,
-    ladder_depth: int = LADDER_DEPTH,
-):
+def ideal_triangle_area_detail(domain: ConvexDomain, T: IdealTriangle, tol: float = 1e-3):
     """Medial-triangle estimate plus the three corner ladders of an ideal
     triangle.
 
-    Corner ladder i cuts at side fractions 2^-1 ... 2^-ladder_depth toward
-    vertex i, so it has ``ladder_depth - 1`` trapezoids; its tail test needs
-    three of them, so ``ladder_depth`` must be at least 4.  The trapezoids
+    Corner ladder i cuts at side fractions 2^-1 ... 2^-LADDER_DEPTH toward
+    vertex i, so it has ``LADDER_DEPTH - 1`` trapezoids.  The trapezoids
     of all three ladders are built in one broadcast over the fractions, and
     the medial triangle and every trapezoid are refined as one cell array,
     one density batch per round (:func:`measure._region_areas`).  Refinement
@@ -208,16 +204,12 @@ def ideal_triangle_area_detail(
     ``_SETTLED_ROUNDS`` rounds in a row, and every piece keeps its total of
     that round: a diverged ladder's partial is the one at the round where
     its verdict settled.  Until then each piece's estimate equals its own
-    ``region_area`` call with the ``PIECE_*`` settings.  ``ladder_depth``
-    must be an integer.
+    ``region_area`` call with the ``PIECE_*`` settings.
     """
     if not T.validity:
         raise InvalidTriangle(T.invalid_reason or "invalid ideal triangle")
-    _require_count("ladder_depth", ladder_depth)
-    if ladder_depth < 4:
-        raise ValueError("ladder_depth must be at least 4")
-    fractions = 0.5 ** np.arange(1, ladder_depth + 1)
-    rungs = ladder_depth - 1
+    fractions = 0.5 ** np.arange(1, LADDER_DEPTH + 1)
+    rungs = LADDER_DEPTH - 1
     V = T.vertices()
     medial = 0.5 * (V + np.roll(V, -1, axis=0))
     pieces = _ladder_piece(V, np.arange(3)[:, None], fractions[:-1], fractions[1:])
@@ -237,28 +229,24 @@ def ideal_triangle_area_detail(
     return estimates[0], ladders
 
 
-def ideal_triangle_area(
-    domain: ConvexDomain,
-    T: IdealTriangle,
-    tol: float = 1e-3,
-    ladder_depth: int = LADDER_DEPTH,
-) -> QuadratureEstimate:
+def ideal_triangle_area(domain: ConvexDomain, T: IdealTriangle, tol: float = 1e-3) -> QuadratureEstimate:
     """Hilbert area of a valid ideal triangle.
 
-    Medial-triangle quadrature plus corner ladders; the ladder tails are
-    geometric extrapolations, and any non-Cauchy ladder marks the whole
-    estimate as diverged with the partial sum as a lower bound: the partial
-    at the refinement round where the verdict settled
-    (:func:`ideal_triangle_area_detail`).
+    Medial-triangle quadrature plus corner ladders of ``LADDER_DEPTH`` cuts;
+    the ladder tails are geometric extrapolations, and any non-Cauchy ladder
+    marks the whole estimate as diverged with the partial sum as a lower
+    bound: the partial at the refinement round where the verdict settled
+    (:func:`ideal_triangle_area_detail`).  ``depth`` is the larger of the
+    medial triangle's refinement depth and ``LADDER_DEPTH``.
     """
-    medial, ladders = ideal_triangle_area_detail(domain, T, tol=tol, ladder_depth=ladder_depth)
+    medial, ladders = ideal_triangle_area_detail(domain, T, tol=tol)
     value = medial.value + sum(lad.partial + lad.tail for lad in ladders)
     err = medial.error_bound + sum(lad.error for lad in ladders)
     diverged = any(lad.diverged for lad in ladders)
     return QuadratureEstimate(
         value=float(value),
         error_bound=float(err),
-        depth=max(medial.depth, ladder_depth),
+        depth=max(medial.depth, LADDER_DEPTH),
         diverged=bool(diverged),
     )
 
@@ -301,9 +289,7 @@ class SupAreaResult:
 
     @property
     def max_value(self) -> float:
-        vals = [self.best_estimate.value] if self.best_estimate else []
-        vals += [est.value for _, est in self.divergent]
-        return max(vals) if vals else 0.0
+        return max([self.best_estimate.value] + [est.value for _, est in self.divergent])
 
 
 def _sample_triples(domain: ConvexDomain, config: TriangleSamplerConfig) -> list:
@@ -335,7 +321,11 @@ def _sample_triples(domain: ConvexDomain, config: TriangleSamplerConfig) -> list
 
 
 def sup_area_search(domain: ConvexDomain, config: TriangleSamplerConfig = TriangleSamplerConfig()) -> SupAreaResult:
-    """Maximize ideal-triangle area over sampled boundary triples."""
+    """Maximize ideal-triangle area over sampled boundary triples.
+
+    Raises ``InvalidTriangle`` when no sampled triple is a valid ideal
+    triangle: there is then no area to report.
+    """
     best_tri, best_est = None, None
     divergent = []
     used = 0
@@ -352,7 +342,9 @@ def sup_area_search(domain: ConvexDomain, config: TriangleSamplerConfig = Triang
             divergent.append((T, est))
         elif best_est is None or est.value > best_est.value:
             best_tri, best_est = T, est
-    if best_est is None and divergent:
+    if used == 0:
+        raise InvalidTriangle("no sampled triple is a valid ideal triangle")
+    if best_est is None:
         best_tri, best_est = max(divergent, key=lambda pair: pair[1].value)
     return SupAreaResult(
         best_triangle=best_tri,

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 import types
 
@@ -27,6 +28,48 @@ def test_public_names_are_the_submodules_definitions():
         assert not name.startswith("_"), name
         assert value.__module__.startswith("hilbertgeom."), name
     assert "pin_malloc_thresholds" not in hilbertgeom.__all__
+
+
+# every public callable that takes a parameter with a default, and those
+# parameters: settings that take one value in the lab are module constants,
+# so a new option has to change this pin
+_DEFAULTED_PARAMETERS = {
+    "Ellipse": ["center", "semi_axes", "rotation"],
+    "FourPointConfig": ["budget", "seed"],
+    "IdealTriangle": ["invalid_reason"],
+    "PBall": ["center", "scale"],
+    "RegularityReport": ["non_strictly_convex"],
+    "SampledFunction": ["derivative"],
+    "ThinTriangleConfig": ["budget", "seed"],
+    "TriangleSamplerConfig": ["budget", "seed", "tol"],
+    "ball_area": ["tol"],
+    "boundary_graph": ["n"],
+    "delta_four_point": ["config"],
+    "delta_thin": ["config"],
+    "densities": ["n_dirs", "validate"],
+    "hilbert_distances": ["validate"],
+    "ideal_triangle_area": ["tol"],
+    "ideal_triangle_area_detail": ["tol"],
+    "point_to_segment_distances": ["validate"],
+    "region_area": ["tol", "max_depth", "max_points", "n_dirs"],
+    "regular_polygon": ["circumradius", "center", "phase"],
+    "run_suite": ["budget", "seed", "tol"],
+    "sup_area_search": ["config"],
+    "unit_ball_areas": ["n_dirs"],
+}
+
+
+def test_public_defaulted_parameters_are_pinned():
+    found = {}
+    for name in hilbertgeom.__all__:
+        value = getattr(hilbertgeom, name)
+        if isinstance(value, type) and issubclass(value, Exception):
+            continue  # exceptions take only their message
+        params = inspect.signature(value).parameters.values()
+        defaulted = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if defaulted:
+            found[name] = defaulted
+    assert found == _DEFAULTED_PARAMETERS
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hilbertgeom import triangles
 from hilbertgeom.cli import SWEEP_HEADER, main
 
 DISK_SPEC = '{"type": "pball", "p": 2}'
@@ -243,3 +244,22 @@ def test_dist_non_finite_domain_parameter_exits_2(capsys, spec):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--grid", "1e17", "--budget", "1"],
+                                  ["sweep", "--grid", "1e308", "--budget", "1"],
+                                  ["dist", "--spec", '{"type": "pball", "p": 1e17}', "0", "0", "0.1", "0"]],
+                         ids=["sweep-1e17", "sweep-1e308", "spec-1e17"])
+def test_pball_exponent_above_2_to_52_exits_2(capsys, argv):
+    # the sweep printed a sup_area of 0 at 1e17 and NaN deltas at 1e308
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "2**52" in err
+
+
+def test_sweep_without_a_valid_sampled_triangle_exits_2(monkeypatch, capsys):
+    # such a row read sup_area 0.000000 with exit 0
+    monkeypatch.setattr(triangles, "_sample_triples", lambda domain, config: [(0.1, 0.1, 0.1)])
+    code, out, err = _run(capsys, ["sweep", "--grid", "2", "--budget", "1"])
+    assert (code, out) == (2, "")
+    assert "no sampled triple is a valid ideal triangle" in err

@@ -26,7 +26,7 @@ from hilbertgeom.domains import (
 )
 from hilbertgeom.errors import ImproperImage, NotOnBoundary
 from hilbertgeom.measure import unit_ball_areas
-from hilbertgeom.metric import hilbert_distances
+from hilbertgeom.metric import FourPointConfig, ThinTriangleConfig, delta_four_point, delta_thin, hilbert_distances
 from hilbertgeom.triangles import ideal_triangle_area, make_ideal_triangle
 
 RNG_SEED = 1918
@@ -807,3 +807,15 @@ def test_constructors_reject_non_finite_parameters(make, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             make(value)
+
+
+def test_pball_rejects_exponents_above_2_to_52():
+    # above 2**52, 1/p is below one ulp of 1 and the ball is the square to
+    # double precision: at p = 1e17 the four-point delta read 2.02 and at
+    # 1e18 chords came back NaN; at the cap itself the deltas stay finite
+    top = PBall(2.0 ** 52)
+    assert np.isfinite(delta_four_point(top, FourPointConfig(budget=40, seed=0)).delta_hat)
+    assert np.isfinite(delta_thin(top, ThinTriangleConfig(budget=4, seed=0)).delta_hat)
+    for p in (np.nextafter(2.0 ** 52, math.inf), 1e17, 1e308):
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            PBall(p)

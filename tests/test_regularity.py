@@ -120,7 +120,7 @@ def test_chain_constants_identities():
 
 def test_holder_bound_check_corpus():
     for f in (_square_fn(), _abs15()):
-        rep = holder_bound_check(f)
+        rep = holder_bound_check(f, H=qsc_constant(f))
         assert rep.bound_margin >= -1e-9
         assert rep.alpha > 1.0
         assert rep.M > 0.0
@@ -130,10 +130,10 @@ def test_holder_bound_check_corpus():
 def test_holder_bound_check_preconditions():
     shifted = SampledFunction.from_callable(lambda t: t * t + 1.0, a=1.0, derivative=lambda t: 2.0 * t)
     with pytest.raises(PreconditionViolated):
-        holder_bound_check(shifted)
+        holder_bound_check(shifted, H=qsc_constant(shifted))
     negative = SampledFunction.from_callable(lambda t: t, a=1.0, derivative=lambda t: 1.0)
     with pytest.raises(PreconditionViolated):
-        holder_bound_check(negative)
+        holder_bound_check(negative, H=qsc_constant(negative))
 
 
 def test_derivative_holder_check_parabola():

@@ -109,8 +109,12 @@ def test_square_error_bound_covers_its_error(monkeypatch, ts):
     est = ideal_triangle_area(square, tri)
     assert abs(est.value - SQUARE_DEEP_AREAS[ts]) <= est.error_bound
     monkeypatch.setattr(triangles, "PIECE_MAX_POINTS", 60000)
-    deep = ideal_triangle_area(square, tri, tol=1e-5, ladder_depth=16)
+    monkeypatch.setattr(triangles, "LADDER_DEPTH", 16)
+    deep = ideal_triangle_area(square, tri, tol=1e-5)
     assert abs(deep.value - SQUARE_DEEP_AREAS[ts]) <= 1e-9 * deep.value
+    # the depth is read at call time: 16 cuts make 15 trapezoids per ladder
+    _, ladders = ideal_triangle_area_detail(square, tri, tol=1e-5)
+    assert [len(lad.increments) for lad in ladders] == [15, 15, 15]
 
 
 def test_corner_decomposition_partitions_area():
@@ -180,14 +184,12 @@ def test_sup_area_result_max_value_includes_divergent():
     assert res.max_value == 9.0
 
 
-def test_ladder_depth_below_four_raises():
-    # the ladder's tail test compares its last three trapezoids, and its
-    # rungs are counted, so a float or bool depth is refused too
-    disk, tri = _symmetric_disk_triangle()
-    for depth in (3, 1, 0, 5.5, 4.0, True):
-        with pytest.raises(ValueError, match="ladder_depth"):
-            ideal_triangle_area(disk, tri, ladder_depth=depth)
-    assert ideal_triangle_area(disk, tri, ladder_depth=4).value > 0.0
+def test_sup_area_search_without_a_valid_triple_raises(monkeypatch):
+    # a search whose triples all fail reported a silent sup_area of 0
+    square = Polygon(SQUARE)
+    monkeypatch.setattr(triangles, "_sample_triples", lambda domain, config: [(0.1, 0.1, 0.1)])
+    with pytest.raises(InvalidTriangle, match="no sampled triple"):
+        sup_area_search(square)
 
 
 # The sequential quadrature that the lock-step refinement of all 34 pieces
