@@ -103,8 +103,6 @@ def cmd_normalize(args) -> int:
 
 def _sweep_domain(family: str, param: float, sides: int):
     if family == "pball":
-        if param < 1.0:
-            raise ValueError("p-ball exponent must be >= 1")
         return "pball", PBall(param)
     if family == "regular-polygon-smoothings":
         base = regular_polygon(sides)

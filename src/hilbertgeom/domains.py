@@ -175,7 +175,6 @@ class ConvexDomain:
     """
 
     param_period: float = 2.0 * np.pi
-    strictly_convex: bool = True
 
     # ---- per-variant interface -------------------------------------------------
 
@@ -416,8 +415,6 @@ class PBall(ConvexDomain):
         self.center = as_point(center)
         self.radius = float(scale)
         self.center.setflags(write=False)
-        # p = 1 is the diamond: flat sides, corner points
-        self.strictly_convex = p > 1.0
 
     def gauge(self, P) -> np.ndarray:
         Z = (as_points(P) - self.center) / self.radius
@@ -497,7 +494,6 @@ class Polygon(ConvexDomain):
     """
 
     param_period = 1.0
-    strictly_convex = False
 
     def __init__(self, vertices):
         V = as_points(vertices)
@@ -718,7 +714,6 @@ class PowerCap(ConvexDomain):
     ``alpha > 1``.
     """
 
-    strictly_convex = False
     # |x| < 1 and 0 < y < 1 inside: on this box the gauge is >= 0, and its
     # axis-aligned slacks round to < 0 at every start with gauge < 0
     _outer = Polygon([[-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -791,7 +786,6 @@ class ProjectiveImage(ConvexDomain):
         r = np.hypot(boundary[:, 0] - self._anchor[0], boundary[:, 1] - self._anchor[1])
         self._bounding = float(np.max(r)) * 1.05 + 1e-12
         self.param_period = inner.param_period
-        self.strictly_convex = inner.strictly_convex
 
     def _pull(self, P: np.ndarray, w_min: float = 0.0):
         """Preimages of the rows of ``P`` and a mask of the valid ones.

@@ -374,8 +374,8 @@ def region_area(
     ``max_points`` allows: the budget counts every density point evaluated,
     the fan's own included, and refining a cell costs its 4 children of 19
     points.  If cells remain unsettled when refinement stops and the last
-    round still grew the total by more than a factor 1 + tol, the estimate
-    is marked diverged.
+    round still grew the total by more than a factor 1 + tol, or no round
+    ran at all, the estimate is marked diverged.
     An empty region has measure 0.  ``n_dirs`` must be an integer >= 16, and
     ``max_depth`` and ``max_points`` integers >= 1, all checked on entry.
 
@@ -423,7 +423,7 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
     depth = np.zeros(len(tri), dtype=int)
     budget_left = max_points - _CELL_POINTS * np.bincount(reg, minlength=len(counts))
     refine_points = 4 * _CELL_POINTS
-    total_prev = np.full(len(counts), math.inf)
+    total_prev = np.full(len(counts), -math.inf)
     while True:
         starts = np.flatnonzero(np.diff(reg, prepend=-1))
         sizes = np.diff(starts, append=len(reg))
@@ -435,7 +435,8 @@ def _region_areas(domain: ConvexDomain, V: np.ndarray, counts, tol: float, max_d
         rank = np.arange(len(idx)) - np.searchsorted(reg[idx], reg[idx])
         idx = idx[rank < budget_left[reg[idx]] // refine_points]
         picked = np.bincount(reg[idx], minlength=len(counts))[ids]
-        # refinement stops with unsettled cells only at the depth cap or the point budget
+        # refinement stops with unsettled cells only at the depth cap or the point budget;
+        # before the first round the total grew from -inf
         diverged = (np.bincount(reg, ~settled, len(counts))[ids] > 0) & (total > total_prev[ids] * (1.0 + tol))
         deepest = np.maximum.reduceat(depth, starts)
         stopped = len(idx) > 0 and stop is not None and bool(stop(ids, total))

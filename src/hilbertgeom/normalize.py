@@ -48,16 +48,14 @@ _SINGULAR_FLOOR = 1e-12  # incidences relative to the domain's scale
 
 @dataclass(frozen=True)
 class GraphStrip:
-    """Convex boundary graph over a tangency frame.
+    """Convex boundary graph over the supporting line at a tangency point.
 
-    ``f`` samples the lower boundary height over ``x`` in [-rho, rho]
-    (uniform grid); the cap line ``y = s*x + b`` passes through the graph
-    endpoints, so the boundary below it is exactly the graph.
+    ``f`` samples the boundary height above that line over ``x`` in
+    [-rho, rho] (uniform grid); the boundary below the chord through the
+    graph endpoints (-rho, f[0]) and (rho, f[-1]) is exactly the graph.
     """
 
     rho: float
-    s: float
-    b: float
     f: np.ndarray
 
     @property
@@ -73,53 +71,33 @@ class GraphStrip:
         object.__setattr__(self, "f", f)
 
 
-def _coerce_frame(frame) -> np.ndarray:
-    F = np.asarray(frame, dtype=float)
-    if F.shape == (2,):
-        x_dir = F / np.hypot(F[0], F[1])
-        y_dir = np.array([-x_dir[1], x_dir[0]])
-        return np.stack([x_dir, y_dir])
-    if F.shape != (2, 2):
-        raise ValueError("frame must be a direction vector or a 2x2 rotation")
-    if not np.allclose(F @ F.T, np.eye(2), atol=1e-9):
-        raise ValueError("frame rows must be orthonormal")
-    if np.linalg.det(F) < 0:
-        raise ValueError("frame must be right-handed")
-    return F
+def _tangent_frame(domain: ConvexDomain, p0: np.ndarray) -> tuple:
+    """Frame of the supporting line (u, v, w) at the boundary point ``p0``:
+    rows (-v, u), the tangent, and (-u, -v), the inward normal.  Returns it
+    with the domain's exit-witness boundary samples in frame coordinates."""
+    line = domain.supporting_line(p0)
+    R = np.array([[-line.v, line.u], [-line.u, -line.v]])
+    return R, (domain.boundary_samples(_EXIT_WITNESS_SAMPLES) - p0) @ R.T
 
 
-def boundary_graph(
-    domain: ConvexDomain,
-    point,
-    frame,
-    rho: float,
-    n: int = GRAPH_SAMPLES,
-) -> GraphStrip:
+def boundary_graph(domain: ConvexDomain, point, rho: float, n: int = GRAPH_SAMPLES) -> GraphStrip:
     """Sample the boundary as a graph over the supporting line at ``point``.
 
-    ``frame`` gives the supporting-line direction (second row, if a full
-    rotation is passed, is the inward normal).  For each grid abscissa the
+    The frame is the point's own (:func:`_tangent_frame`): x along the
+    supporting line, y along the inward normal.  For each grid abscissa the
     boundary height f(x) = inf{y >= 0 : (x, y) in the closure} is the hit of
     the ray cast straight down from an interior point above it
     (:meth:`ConvexDomain.ray_hits_both`), clamped at 0 so that flat boundary
     arcs give a graph that is identically zero.
     """
     p0 = as_point(point)
-    R = _coerce_frame(frame)
     sc = domain.scale()
     if abs(domain.gauge1(p0)) > 1e-7 * sc:
         raise PreconditionViolated("tangency point is not on the boundary")
-    line = domain.supporting_line(p0)
-    normal = np.array([line.u, line.v])  # outward
-    if abs(float(R[0] @ normal)) > 1e-6:
-        raise PreconditionViolated("frame x-axis is not the supporting line")
-    if float(R[1] @ normal) > 0.0:
-        raise PreconditionViolated("frame y-axis must point into the domain")
     if not rho > 0:
         raise ValueError("strip half-width must be positive")
 
-    B = domain.boundary_samples(_EXIT_WITNESS_SAMPLES)
-    L = (B - p0) @ R.T  # boundary in frame coordinates
+    R, L = _tangent_frame(domain, p0)
     i_left, i_right = int(np.argmin(L[:, 0])), int(np.argmax(L[:, 0]))
     if L[i_left, 0] >= -rho or L[i_right, 0] <= rho:
         raise StripTooWide("domain does not cross the strip on both sides")
@@ -142,11 +120,7 @@ def boundary_graph(
     f = y_hi - t
     if np.any(f < -1e-9 * sc):
         raise PreconditionViolated("domain extends below the supporting line")
-    f = np.maximum(f, 0.0)
-
-    s = (f[-1] - f[0]) / (2.0 * rho)
-    b = float(f[0] + s * rho)
-    return GraphStrip(rho=float(rho), s=float(s), b=b, f=f)
+    return GraphStrip(rho=float(rho), f=np.maximum(f, 0.0))
 
 
 class AlphaFit(NamedTuple):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domains import as_point
 from .errors import InsufficientSignal, NotConvex, PreconditionViolated
-from .normalize import boundary_graph
+from .normalize import _tangent_frame, boundary_graph
 
 # samples per boundary graph of a regularity report, and the default of
 # SampledFunction.from_callable: 4k + 1, so x = ±a are grid points
@@ -184,11 +184,14 @@ class RegularityReport:
         }
 
 
-def holder_bound_check(f: SampledFunction, H: float) -> RegularityReport:
+def holder_bound_check(f: SampledFunction) -> RegularityReport:
     """Check f(x) <= 160 (H2 + 1) M(f) |x|^alpha on the sample's [-a, a].
 
-    ``H`` is the quasi-symmetric convexity constant the chain starts from,
-    usually :func:`qsc_constant` of f; M(f) = max(f(-a), f(a)).
+    The chain starts from H = :func:`qsc_constant` of f, measured on central
+    differences when f carries no derivative; M(f) = max(f(-a), f(a)).  An
+    infinite H (a corner: a remainder vanishes on one side only) gives the
+    degenerate chain H = H2 = inf, alpha = 1, margin -inf, with the
+    ``non_strictly_convex`` flag set.
     """
     v = f.values
     a = f.a
@@ -200,6 +203,9 @@ def holder_bound_check(f: SampledFunction, H: float) -> RegularityReport:
         raise PreconditionViolated("f must be nonnegative")
     quarter = (n - 1) // 4
     M = max(float(v[quarter]), float(v[3 * quarter]))
+    H = qsc_constant(f if f.derivative is not None else f.with_central_derivative())
+    if H == math.inf:
+        return RegularityReport(H=H, H2=H, alpha=1.0, M=M, bound_margin=-math.inf, non_strictly_convex=True)
     H2, alpha = chain_constants(H, a)
     x = f.x
     inner = (np.abs(x) <= a) & (np.abs(x) > 0)
@@ -244,35 +250,21 @@ def derivative_holder_check(f: SampledFunction) -> DerivativeHolderResult:
 def boundary_regularity_report(domain, point) -> RegularityReport:
     """Full constant chain for the boundary graph at a tangency point.
 
-    Extracts the graph over the supporting line (frame chosen from the
-    outward normal) on ``GRID_SIZE`` samples, measures H on it, and runs the
-    Hölder bound check.  The strip's half-width rho is a quarter of the
-    boundary's smaller extent along the tangent on either side of the point.
-    A flat graph (polygon edge) yields the degenerate chain with the
-    ``non_strictly_convex`` flag set.
+    Extracts the graph over the supporting line on ``GRID_SIZE`` samples
+    and runs the Hölder bound check, which measures H on it.  The strip's
+    half-width rho is a quarter of the boundary's smaller extent along the
+    tangent on either side of the point.  A flat graph (polygon edge) yields
+    the degenerate chain with the ``non_strictly_convex`` flag set.
     """
     p0 = as_point(point)
-    line = domain.supporting_line(p0)
-    x_dir = np.array([-line.v, line.u])
-    frame = np.stack([x_dir, np.array([-line.u, -line.v])])
     # stay in the near-tangency regime: wide strips mix in curvature
     # variation and inflate H even for the circle
-    B = (domain.boundary_samples(1024) - p0) @ frame.T
+    B = _tangent_frame(domain, p0)[1]
     rho = 0.25 * min(-float(np.min(B[:, 0])), float(np.max(B[:, 0])))
     if rho <= 0:
         raise InsufficientSignal("no strip width available at this point")
-    strip = boundary_graph(domain, p0, frame, rho, n=GRID_SIZE)
-    a = rho / 2.0
-    f = SampledFunction(a=a, values=strip.f).with_central_derivative()
-    flat = float(np.max(strip.f)) < 1e-13
-    if flat:
-        H = 1.0
-        H2, alpha = chain_constants(H, a)
-        return RegularityReport(H=H, H2=H2, alpha=alpha, M=0.0,
-                                bound_margin=0.0, non_strictly_convex=True)
-    H = qsc_constant(f)
-    if not np.isfinite(H):
-        return RegularityReport(H=math.inf, H2=math.inf, alpha=1.0,
-                                M=float(max(strip.f[(GRID_SIZE - 1) // 4], strip.f[3 * ((GRID_SIZE - 1) // 4)])),
-                                bound_margin=-math.inf, non_strictly_convex=True)
-    return holder_bound_check(f, H=H)
+    f = SampledFunction(a=rho / 2.0, values=boundary_graph(domain, p0, rho, n=GRID_SIZE).f)
+    if float(np.max(f.values)) < 1e-13:
+        H2, alpha = chain_constants(1.0, f.a)
+        return RegularityReport(H=1.0, H2=H2, alpha=alpha, M=0.0, bound_margin=0.0, non_strictly_convex=True)
+    return holder_bound_check(f)

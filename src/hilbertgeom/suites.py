@@ -25,7 +25,6 @@ from .regularity import (
     chain_constants,
     derivative_holder_check,
     holder_bound_check,
-    qsc_constant,
 )
 
 _BALL_GROWTH_RADII = tuple(range(2, 9))
@@ -207,13 +206,13 @@ def run_finite_area_suite(tol: float = 1e-3) -> SuiteReport:
 def run_graph_suite() -> SuiteReport:
     checks = []
     disk = unit_disk()
-    strip = boundary_graph(disk, [0.0, -1.0], [1.0, 0.0], 0.5)
+    strip = boundary_graph(disk, [0.0, -1.0], 0.5)
     x = strip.x
     err_disk = float(np.max(np.abs(strip.f - (1.0 - np.sqrt(1.0 - x * x)))))
     checks.append(CheckResult("disk-analytic", err_disk <= 1e-9, f"max err={err_disk:.2e}"))
 
     p4 = PBall(4.0)
-    strip4 = boundary_graph(p4, [0.0, -1.0], [1.0, 0.0], 0.5)
+    strip4 = boundary_graph(p4, [0.0, -1.0], 0.5)
     err_p4 = float(np.max(np.abs(strip4.f - (1.0 - (1.0 - strip4.x**4) ** 0.25))))
     checks.append(CheckResult("p4-analytic", err_p4 <= 1e-9, f"max err={err_p4:.2e}"))
 
@@ -229,7 +228,7 @@ def run_graph_suite() -> SuiteReport:
     checks.append(CheckResult("endpoint-positive", pos > 0.0, f"min f(±rho/3)={pos:.2e}"))
 
     square = Polygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    strip_sq = boundary_graph(square, [0.5, 0.0], [1.0, 0.0], 0.3)
+    strip_sq = boundary_graph(square, [0.5, 0.0], 0.3)
     try:
         graph_alpha_fit(strip_sq)
         flat_ok, note = False, "flat graph unexpectedly fit"
@@ -272,8 +271,7 @@ def run_regularity_suite() -> SuiteReport:
     worst = math.inf
     ok = True
     for label, f in corpus:
-        H = qsc_constant(f)
-        rep = holder_bound_check(f, H=H)
+        rep = holder_bound_check(f)
         der = derivative_holder_check(f)
         worst = min(worst, rep.bound_margin, der.margin)
         if rep.bound_margin < -1e-9 or not der.passed:
@@ -295,8 +293,8 @@ def run_regularity_suite() -> SuiteReport:
             dom_ok = False
     checks.append(CheckResult("boundary-corpus", dom_ok, f"4 domains, worst margin={worst_dom:.3e}"))
 
-    fit_disk = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], 0.5))
-    fit_p4 = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], [1.0, 0.0], 0.5))
+    fit_disk = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], 0.5))
+    fit_p4 = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], 0.5))
     fits_ok = abs(fit_disk.alpha_hat - 2.0) <= 0.05 and abs(fit_p4.alpha_hat - 4.0) <= 0.1
     checks.append(
         CheckResult(

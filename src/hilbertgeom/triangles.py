@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import ConvexDomain, as_points
-from .errors import DegenerateVertices, InvalidTriangle
+from .errors import DegenerateVertices, InvalidTriangle, NotOnBoundary
 from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
@@ -92,11 +92,17 @@ def make_ideal_triangle(domain: ConvexDomain, t1: float, t2: float, t3: float) -
 
 
 def ideal_triangle_from_points(domain: ConvexDomain, points) -> IdealTriangle:
-    """Ideal triangle from three boundary points (already on the boundary)."""
+    """Ideal triangle from three boundary points.
+
+    ``NotOnBoundary`` when a point's |gauge| exceeds 1e-7 times the domain's
+    scale, the tolerance of :meth:`ConvexDomain.supporting_line`.
+    """
     V = as_points(points)
     if V.shape != (3, 2):
         raise ValueError("expected exactly three planar points")
     sc = domain.scale()
+    if np.any(np.abs(domain.gauge(V)) > 1e-7 * sc):
+        raise NotOnBoundary("triangle vertex is not on the domain boundary")
     for i in range(3):
         for j in range(i + 1, 3):
             if np.hypot(*(V[i] - V[j])) < 1e-9 * sc:

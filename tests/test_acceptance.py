@@ -26,7 +26,6 @@ from hilbertgeom.regularity import (
     chain_constants,
     derivative_holder_check,
     holder_bound_check,
-    qsc_constant,
 )
 from hilbertgeom.suites import (
     run_ball_growth_suite,
@@ -184,7 +183,7 @@ def test_criterion_7_regularity_chain():
     ]
     worst = math.inf
     for f in corpus:
-        rep = holder_bound_check(f, H=qsc_constant(f))
+        rep = holder_bound_check(f)
         der = derivative_holder_check(f)
         worst = min(worst, rep.bound_margin, der.margin)
         assert rep.bound_margin >= -1e-9
@@ -201,8 +200,8 @@ def test_criterion_7_regularity_chain():
         assert rep.bound_margin >= -1e-9
         assert not rep.non_strictly_convex
         worst = min(worst, rep.bound_margin)
-    fit2 = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], 0.5))
-    fit4 = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], [1.0, 0.0], 0.5))
+    fit2 = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], 0.5))
+    fit4 = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], 0.5))
     print(
         f"criterion 7: worst margin={worst:.3e}, alpha_hat circle={fit2.alpha_hat:.4f}, "
         f"quartic={fit4.alpha_hat:.4f}"

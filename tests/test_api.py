@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import pathlib
 import types
@@ -85,3 +86,14 @@ def test_no_unused_imports(path):
     if path.name == "__init__.py":
         used |= set(hilbertgeom.__all__)  # the package's imports are its exports
     assert sorted(imported - used) == []
+
+
+def test_benchmark_trace_spans_resolve():
+    # the benchmark's tracer wraps these entry points by name at run time:
+    # a deleted or renamed one would fail only a traced benchmark run
+    tree = ast.parse((_ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    spans = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    for module, entries in ast.literal_eval(spans).items():
+        for name in entries:
+            assert callable(getattr(importlib.import_module(f"hilbertgeom.{module}"), name, None)), f"{module}.{name}"

@@ -248,10 +248,12 @@ def test_dist_non_finite_domain_parameter_exits_2(capsys, spec):
 
 @pytest.mark.parametrize("argv", [["sweep", "--grid", "1e17", "--budget", "1"],
                                   ["sweep", "--grid", "1e308", "--budget", "1"],
-                                  ["dist", "--spec", '{"type": "pball", "p": 1e17}', "0", "0", "0.1", "0"]],
-                         ids=["sweep-1e17", "sweep-1e308", "spec-1e17"])
+                                  ["dist", "--spec", '{"type": "pball", "p": 1e17}', "0", "0", "0.1", "0"],
+                                  ["sweep", "--grid", "0.5", "--budget", "1"]],
+                         ids=["sweep-1e17", "sweep-1e308", "spec-1e17", "sweep-0.5"])
 def test_pball_exponent_above_2_to_52_exits_2(capsys, argv):
-    # the sweep printed a sup_area of 0 at 1e17 and NaN deltas at 1e308
+    # the sweep printed a sup_area of 0 at 1e17 and NaN deltas at 1e308; below
+    # 1 it prints PBall's own message for the whole range, as a spec does
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert "2**52" in err

@@ -215,6 +215,14 @@ def test_region_area_rejects_bad_limits_on_entry(region, field, value):
         region_area(unit_disk(), region, tol=1e-9, **{field: value})
 
 
+@pytest.mark.parametrize("max_points", [1, 19, 94])
+def test_region_stopped_by_its_budget_before_any_round_is_diverged(max_points):
+    # below 95 points the fan cell's 19 leave no room for one refinement (76)
+    est = region_area(unit_disk(), [[0.0, -0.3], [0.4, 0.2], [-0.35, 0.25]], tol=1e-9, max_points=max_points)
+    assert est.depth == 0 and est.diverged
+    assert est.error_bound > 1e-9 * est.value
+
+
 @pytest.mark.parametrize("inner, tol", [(unit_disk(), 1e-9), (regular_polygon(4), 1e-5)], ids=["disk", "square"])
 def test_projective_unit_balls_scale_by_the_jacobian(inner, tol):
     # H maps the ball at x onto the ball at H(x), so areas scale by

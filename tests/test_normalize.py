@@ -37,6 +37,8 @@ from hilbertgeom.normalize import (
 )
 from hilbertgeom.triangles import ideal_triangle_from_points, make_ideal_triangle
 
+EPS = np.finfo(float).eps
+
 # frozen outputs
 P4_ASYMMETRIC_ALPHA = 0.20280594289506867
 
@@ -46,40 +48,43 @@ TARGETS3 = np.concatenate([TARGETS, np.ones((3, 1))], axis=1)
 
 
 def test_boundary_graph_disk_matches_circle():
-    strip = boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], 0.5)
+    strip = boundary_graph(unit_disk(), [0.0, -1.0], 0.5)
     x = strip.x
     exact = 1.0 - np.sqrt(1.0 - x * x)
     assert np.max(np.abs(strip.f - exact)) <= 1e-12
     assert strip.f[-1] == pytest.approx(1.0 - math.sqrt(0.75), abs=1e-12)
-    # secant coefficients are consistent with the stored samples
-    assert strip.f[0] == pytest.approx(strip.b - strip.s * strip.rho, abs=1e-12)
 
 
 def test_boundary_graph_quartic_ball():
-    strip = boundary_graph(PBall(4.0), [0.0, -1.0], [1.0, 0.0], 0.5)
+    strip = boundary_graph(PBall(4.0), [0.0, -1.0], 0.5)
     exact = 1.0 - (1.0 - strip.x**4) ** 0.25
     assert np.max(np.abs(strip.f - exact)) <= 1e-9
     assert strip.f[-1] == pytest.approx(1.0 - 0.9375**0.25, abs=1e-12)
 
 
-def test_boundary_graph_auto_frame_from_vector():
-    # a bare tangent direction is completed to the inward frame
-    strip = boundary_graph(unit_disk(), [0.0, -1.0], np.array([1.0, 0.0]), 0.3)
-    assert strip.f[(len(strip.f) - 1) // 2] <= 1e-12
-    assert np.all(strip.f >= 0.0)
+def test_boundary_graph_frame_is_tangent_right_handed_and_inward():
+    disk = unit_disk()
+    for p0 in disk.boundary_points(np.arange(8) * math.pi / 4.0):
+        R, _ = normalize_module._tangent_frame(disk, p0)
+        assert np.allclose(R @ R.T, np.eye(2), atol=1e-15)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+        assert R[1] @ (disk.interior_point() - p0) > 0.0
+        strip = boundary_graph(disk, p0, 0.5)
+        assert np.max(np.abs(strip.f - (1.0 - np.sqrt(1.0 - strip.x**2)))) <= EPS
+    for p0 in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]):
+        strip = boundary_graph(PBall(4.0), p0, 0.5)
+        assert np.max(np.abs(strip.f - (1.0 - (1.0 - strip.x**4) ** 0.25))) <= EPS / 2.0
 
 
 def test_boundary_graph_preconditions():
     disk = unit_disk()
     with pytest.raises(PreconditionViolated):
-        boundary_graph(disk, [0.0, -0.5], [1.0, 0.0], 0.3)  # not a boundary point
-    with pytest.raises(PreconditionViolated):
-        boundary_graph(disk, [0.0, -1.0], [0.0, 1.0], 0.3)  # x-axis not tangent
+        boundary_graph(disk, [0.0, -0.5], 0.3)  # not a boundary point
     with pytest.raises(PreconditionViolated, match="extends below"):
         # within the boundary tolerance, but 4e-8 inside
-        boundary_graph(disk, [0.0, -1.0 + 4e-8], [1.0, 0.0], 0.3)
+        boundary_graph(disk, [0.0, -1.0 + 4e-8], 0.3)
     with pytest.raises(StripTooWide):
-        boundary_graph(disk, [0.0, -1.0], [1.0, 0.0], 1.2)
+        boundary_graph(disk, [0.0, -1.0], 1.2)
 
 
 def _bisected_heights(domain, point, frame, strip):
@@ -88,8 +93,9 @@ def _bisected_heights(domain, point, frame, strip):
     sc = domain.scale()
     x = strip.x
     world = lambda y: point + np.stack([x, y], axis=-1) @ frame
-    # any interior start gives the same heights: just above the cap line
-    y_hi = strip.s * x + strip.b + 1e-7 * sc
+    # any interior start gives the same heights: just above the chord
+    # through the graph's endpoints
+    y_hi = strip.f[0] + (x + strip.rho) * (strip.f[-1] - strip.f[0]) / (2.0 * strip.rho) + 1e-7 * sc
     assert np.all(domain.gauge(world(y_hi)) < 0.0)
     y_lo = np.full(len(x), -1e-9 * sc)
     for _ in range(60):
@@ -124,22 +130,28 @@ def test_boundary_graph_matches_bisection_reference(name):
     p0 = domain.boundary_points([point])[0] if isinstance(point, float) else np.asarray(point)
     line = domain.supporting_line(p0)
     frame = np.array([[-line.v, line.u], [-line.u, -line.v]])
-    strip = boundary_graph(domain, p0, frame, rho)
+    strip = boundary_graph(domain, p0, rho)
     ref = _bisected_heights(domain, p0, frame, strip)
     assert np.max(np.abs(strip.f - ref)) <= 2e-15 * domain.scale()
 
 
 def test_graph_alpha_fit_contact_orders():
-    disk_fit = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], 0.5))
+    disk_fit = graph_alpha_fit(boundary_graph(unit_disk(), [0.0, -1.0], 0.5))
     assert abs(disk_fit.alpha_hat - 2.0) <= 0.05
-    p4_fit = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], [1.0, 0.0], 0.5))
+    p4_fit = graph_alpha_fit(boundary_graph(PBall(4.0), [0.0, -1.0], 0.5))
     assert abs(p4_fit.alpha_hat - 4.0) <= 0.1
     assert disk_fit.mu_hat > 0.0
 
 
+def test_graph_alpha_fit_octic_ball():
+    # the flattest contact here: its fit needs the exact tangent
+    fit = graph_alpha_fit(boundary_graph(PBall(8.0), [0.0, -1.0], 0.5))
+    assert abs(fit.alpha_hat - 8.0) <= 0.1
+
+
 def test_graph_alpha_fit_flat_edge_raises():
     square = Polygon(SQUARE)
-    strip = boundary_graph(square, [0.5, 0.0], [1.0, 0.0], 0.3)
+    strip = boundary_graph(square, [0.5, 0.0], 0.3)
     assert np.max(strip.f) <= 1e-12
     with pytest.raises(InsufficientSignal):
         graph_alpha_fit(strip)
@@ -251,9 +263,9 @@ def test_normalization_result_serializes():
 @pytest.mark.parametrize("rho", [0.0, -0.3, math.nan])
 def test_strip_half_width_must_be_positive(rho):
     with pytest.raises(ValueError, match="strip half-width"):
-        boundary_graph(unit_disk(), [0.0, -1.0], [1.0, 0.0], rho)
+        boundary_graph(unit_disk(), [0.0, -1.0], rho)
     with pytest.raises(ValueError, match="strip half-width"):
-        GraphStrip(rho=rho, s=0.0, b=0.0, f=np.zeros(5))
+        GraphStrip(rho=rho, f=np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_chain_constants_identities():
 
 def test_holder_bound_check_corpus():
     for f in (_square_fn(), _abs15()):
-        rep = holder_bound_check(f, H=qsc_constant(f))
+        rep = holder_bound_check(f)
         assert rep.bound_margin >= -1e-9
         assert rep.alpha > 1.0
         assert rep.M > 0.0
@@ -130,10 +130,26 @@ def test_holder_bound_check_corpus():
 def test_holder_bound_check_preconditions():
     shifted = SampledFunction.from_callable(lambda t: t * t + 1.0, a=1.0, derivative=lambda t: 2.0 * t)
     with pytest.raises(PreconditionViolated):
-        holder_bound_check(shifted, H=qsc_constant(shifted))
+        holder_bound_check(shifted)
     negative = SampledFunction.from_callable(lambda t: t, a=1.0, derivative=lambda t: 1.0)
     with pytest.raises(PreconditionViolated):
-        holder_bound_check(negative, H=qsc_constant(negative))
+        holder_bound_check(negative)
+
+
+def test_holder_bound_check_corner_is_not_strictly_convex():
+    # the corner of |x| at 0 gives H = inf
+    rep = holder_bound_check(SampledFunction.from_callable(abs, a=1.0, derivative=np.sign))
+    assert rep.H == rep.H2 == math.inf
+    assert rep.alpha == 1.0 and rep.M == 1.0
+    assert rep.bound_margin == -math.inf
+    assert rep.non_strictly_convex
+
+
+def test_holder_bound_check_measures_h_on_central_differences():
+    f = _abs15()
+    rep = holder_bound_check(SampledFunction(a=f.a, values=f.values))
+    assert rep == holder_bound_check(f.with_central_derivative())
+    assert rep.H == qsc_constant(f.with_central_derivative())
 
 
 def test_derivative_holder_check_parabola():
@@ -181,9 +197,8 @@ def test_convex_even_polynomials_pass_chain(c2, c4):
         a=1.0,
         derivative=lambda t: 2.0 * c2 * t + 4.0 * c4 * t**3,
     )
-    H = qsc_constant(f)
-    assert 1.0 <= H < math.inf
-    rep = holder_bound_check(f, H=H)
+    rep = holder_bound_check(f)
+    assert 1.0 <= rep.H < math.inf
     assert rep.bound_margin >= -1e-9
 
 
@@ -240,7 +255,7 @@ def _pair_sup_corpus():
         (Polygon(SQUARE), [0.5, 0.0], 0.3),
         (regular_polygon(6), [0.3, -0.75 ** 0.5], 0.3),
     ):
-        strip = boundary_graph(dom, point, [1.0, 0.0], rho, n=257)
+        strip = boundary_graph(dom, point, rho, n=257)
         fns.append(SampledFunction(a=rho / 2.0, values=strip.f).with_central_derivative())
     return fns
 

@@ -15,7 +15,7 @@ from hilbertgeom.domains import (
     regular_polygon,
     unit_disk,
 )
-from hilbertgeom.errors import DegenerateVertices, InvalidTriangle, RegionOutsideDomain
+from hilbertgeom.errors import DegenerateVertices, InvalidTriangle, NotOnBoundary, RegionOutsideDomain
 from hilbertgeom import measure, triangles
 from hilbertgeom.measure import (
     _CELL_NODES,
@@ -38,6 +38,7 @@ from hilbertgeom.triangles import (
     _sample_triples,
     ideal_triangle_area,
     ideal_triangle_area_detail,
+    ideal_triangle_from_points,
     make_ideal_triangle,
     sup_area_search,
 )
@@ -73,6 +74,13 @@ def test_make_ideal_triangle_rejects_degenerate_params():
     with pytest.raises(DegenerateVertices):
         # antipodal pair plus a coincident copy is collinear
         make_ideal_triangle(disk, 0.0, math.pi, 2.0 * math.pi)
+
+
+def test_ideal_triangle_from_interior_points_raises():
+    with pytest.raises(NotOnBoundary):
+        ideal_triangle_from_points(unit_disk(), [[0.5, 0.0], [-0.25, 0.4], [-0.25, -0.4]])
+    with pytest.raises(NotOnBoundary):
+        ideal_triangle_from_points(unit_disk(), [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0 + 1e-6]])
 
 
 def test_square_corner_triple_is_invalid():
@@ -250,7 +258,7 @@ def _reference_region_area(domain, region, tol, max_depth, max_points, n_dirs):
     settled = cells["err"] <= tol * np.maximum(cells["value"], 0.0) + 1e-15 * max(1.0, abs(value))
     diverged = False
     if np.any(~settled) and (np.any(cells["depth"][~settled] >= max_depth) or budget_exhausted):
-        diverged = total_prev is not None and total > total_prev * (1.0 + tol)
+        diverged = total_prev is None or total > total_prev * (1.0 + tol)
     return QuadratureEstimate(value=value, error_bound=float(cells["err"].sum()),
                               depth=int(cells["depth"].max()), diverged=diverged)
 
