@@ -153,6 +153,14 @@ class ProjectiveMap:
         return f"ProjectiveMap({self.matrix.tolist()})"
 
 
+def _require_on_boundary(domain: "ConvexDomain", P: np.ndarray, label: str) -> None:
+    """The one on-boundary rule: ``NotOnBoundary`` unless |gauge| is at most
+    1e-7 times the domain's scale at every row of ``P``."""
+    # not "any > tol": a NaN gauge must fail too
+    if not np.all(np.abs(domain.gauge(P)) <= 1e-7 * domain.scale()):
+        raise NotOnBoundary(f"{label} is not on the domain boundary")
+
+
 class ConvexDomain:
     """Bounded open convex domain in the plane.
 
@@ -324,8 +332,7 @@ class ConvexDomain:
         """Supporting line at boundary point ``b``, oriented with the domain
         on the negative side."""
         b = as_point(b)
-        if abs(self.gauge1(b)) > 1e-7 * self.scale():
-            raise NotOnBoundary("point is not on the domain boundary")
+        _require_on_boundary(self, b[None, :], "point")
         n = _unit(self._supporting_normal(b))
         line = Line2.through(b, n)
         if line.signed_distance(self.interior_point()) > 0.0:

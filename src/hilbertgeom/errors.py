@@ -9,7 +9,11 @@ class PointNotInterior(GeometryError):
     """A query point that must lie strictly inside the domain does not."""
 
 
-class NotOnBoundary(GeometryError):
+class PreconditionViolated(GeometryError):
+    """An operation's documented precondition does not hold."""
+
+
+class NotOnBoundary(PreconditionViolated):
     """A point that must lie on the domain boundary (within tolerance) does not."""
 
 
@@ -48,7 +52,3 @@ class InsufficientSignal(GeometryError):
 
 class NotConvex(GeometryError):
     """A function that must be convex (midpoint test) is not."""
-
-
-class PreconditionViolated(GeometryError):
-    """An operation's documented precondition does not hold."""

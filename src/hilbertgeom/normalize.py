@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import ConvexDomain, Line2, ProjectiveImage, ProjectiveMap, as_point
+from .domains import ConvexDomain, Line2, ProjectiveImage, ProjectiveMap, _require_on_boundary, as_point
 from .errors import (
     ImproperImage,
     InsufficientSignal,
@@ -92,13 +92,16 @@ def boundary_graph(domain: ConvexDomain, point, rho: float, n: int = GRAPH_SAMPL
     """
     p0 = as_point(point)
     sc = domain.scale()
-    if abs(domain.gauge1(p0)) > 1e-7 * sc:
-        raise PreconditionViolated("tangency point is not on the boundary")
+    _require_on_boundary(domain, p0[None, :], "tangency point")
     if not rho > 0:
         raise ValueError("strip half-width must be positive")
 
     R, L = _tangent_frame(domain, p0)
-    i_left, i_right = int(np.argmin(L[:, 0])), int(np.argmax(L[:, 0]))
+    # the extreme samples along the tangent; of tied ones (a side parallel
+    # to the normal) the one nearest the supporting line, so that the chord
+    # between them runs over the strip, not along the far side
+    i_left = int(np.lexsort((L[:, 1], L[:, 0]))[0])
+    i_right = int(np.lexsort((L[:, 1], -L[:, 0]))[0])
     if L[i_left, 0] >= -rho or L[i_right, 0] <= rho:
         raise StripTooWide("domain does not cross the strip on both sides")
     PL, PR = L[i_left], L[i_right]

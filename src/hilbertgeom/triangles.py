@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ConvexDomain, as_points
-from .errors import DegenerateVertices, InvalidTriangle, NotOnBoundary
+from .domains import ConvexDomain, _require_on_boundary, as_points
+from .errors import DegenerateVertices, InvalidTriangle
 from .measure import QuadratureEstimate, _region_areas
 from .metric import _require_count
 
@@ -94,15 +94,14 @@ def make_ideal_triangle(domain: ConvexDomain, t1: float, t2: float, t3: float) -
 def ideal_triangle_from_points(domain: ConvexDomain, points) -> IdealTriangle:
     """Ideal triangle from three boundary points.
 
-    ``NotOnBoundary`` when a point's |gauge| exceeds 1e-7 times the domain's
-    scale, the tolerance of :meth:`ConvexDomain.supporting_line`.
+    ``NotOnBoundary`` when a point is not on the boundary, by the rule of
+    :meth:`ConvexDomain.supporting_line`.
     """
     V = as_points(points)
     if V.shape != (3, 2):
         raise ValueError("expected exactly three planar points")
+    _require_on_boundary(domain, V, "triangle vertex")
     sc = domain.scale()
-    if np.any(np.abs(domain.gauge(V)) > 1e-7 * sc):
-        raise NotOnBoundary("triangle vertex is not on the domain boundary")
     for i in range(3):
         for j in range(i + 1, 3):
             if np.hypot(*(V[i] - V[j])) < 1e-9 * sc:

@@ -357,3 +357,96 @@ def test_reevaluate_thin_witness_matches_one_row_calls():
     p = np.asarray(est.witness["point"])
     ones = [point_to_segment_distance(dom, p, V[i], V[j]) for j in ((i + 1) % 3, (i + 2) % 3)]
     assert reevaluate_witness(dom, est.witness) == min(ones) == est.delta_hat
+
+
+def _support_line_terms(dom, n, seed):
+    rng = np.random.default_rng(seed)
+    T = boundary_biased_points(dom, (n, 2), rng)
+    P, X = T[:, 0], T[:, 1]
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    E = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    f, L, t_plus, t_minus = metric._distances(dom, P, X)
+    rho_a, rho_b = metric._support_rates(dom, P, X, E, L, t_plus, t_minus)
+    return rng, P, X, E, f, rho_a, rho_b
+
+
+@pytest.mark.parametrize("name", list(_ROW_WISE_DOMAINS))
+def test_support_line_slope_matches_central_difference(name):
+    # the slope (rho_b - rho_a) / 2 of d(P, .) along E, from the hits the
+    # distance cast and their normals, against a central difference
+    dom = _ROW_WISE_DOMAINS[name]
+    _, P, X, E, _, rho_a, rho_b = _support_line_terms(dom, 400, 5)
+    eps = 1e-6 * np.minimum(-dom.gauge(X), 1.0)
+    step = eps[:, None] * E
+    diff = (hilbert_distances(dom, P, X + step) - hilbert_distances(dom, P, X - step)) / (2.0 * eps)
+    rel = np.abs(0.5 * (rho_b - rho_a) - diff) / np.abs(diff)
+    assert np.median(rel) <= 1e-6
+    assert np.percentile(rel, 90) <= 1e-5
+
+
+@pytest.mark.parametrize("name", list(_ROW_WISE_DOMAINS))
+def test_frozen_support_lines_bound_the_distance_below(name):
+    # the supporting lines at the hits of d(P, X), held fixed, bound d(P, .)
+    # from below along the whole line through X: the search's stop rule
+    dom = _ROW_WISE_DOMAINS[name]
+    rng, P, X, E, f, rho_a, rho_b = _support_line_terms(dom, 400, 6)
+    u = rng.uniform(-0.5, 0.5, len(P))
+    Y = X + u[:, None] * E
+    inside = np.flatnonzero(dom.gauge(Y) < 0.0)
+    assert len(inside) > 200
+    f, rho_a, rho_b, u = f[inside], rho_a[inside], rho_b[inside], u[inside]
+    bound = f + 0.5 * (np.log1p(-rho_a * u) - np.log1p(-rho_b * u))
+    d = hilbert_distances(dom, P[inside], Y[inside])
+    assert np.all(bound <= d + 1e-12 * (1.0 + d))
+
+
+def test_thin_triangles_cast_few_rays(monkeypatch):
+    # a fixed-round search (58 golden-section rounds and the ends) casts 61
+    # batches here, the slope search 13
+    calls = []
+    cast = PBall.ray_hits_both
+
+    def counted(self, P, V):
+        calls.append(len(P))
+        return cast(self, P, V)
+
+    monkeypatch.setattr(PBall, "ray_hits_both", counted)
+    delta_thin(PBall(4.0), ThinTriangleConfig(budget=4, seed=1))
+    assert len(calls) <= 30
+
+
+def test_segment_search_round_cap(monkeypatch):
+    # a row cut off by the round cap still returns a value it evaluated: at
+    # least the true minimum and at most the value at either end
+    dom = PBall(8.0)
+    P, A, B = _segment_rows(dom, 200, 4)
+    full = point_to_segment_distances(dom, P, A, B)
+    ends = np.minimum(hilbert_distances(dom, P, A), hilbert_distances(dom, P, B))
+    for rounds in (0, 1, 3):
+        monkeypatch.setattr(metric, "_SEARCH_ROUNDS", rounds)
+        capped = point_to_segment_distances(dom, P, A, B)
+        assert np.all(capped >= full - 1e-13 * (1.0 + full))
+        assert np.all(capped <= ends)
+        assert np.sum(capped > full + 1e-9) > (20 if rounds < 3 else 0)
+
+
+def test_segment_search_on_ideal_sides():
+    # ends on the boundary lie at infinite arc length; the search must still
+    # find the basin: the disk against the closed form, PBall(4) on a grid
+    disk = unit_disk()
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (200, 2))
+    A = np.stack([np.cos(theta[:, 0]), np.sin(theta[:, 0])], axis=1)
+    B = np.stack([np.cos(theta[:, 1]), np.sin(theta[:, 1])], axis=1)
+    P = boundary_biased_points(disk, 200, rng)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact, _ = _klein_segment_distances(P, A, B)
+    np.testing.assert_allclose(point_to_segment_distances(disk, P, A, B), exact, rtol=1e-10, atol=0.0)
+    dom = PBall(4.0)
+    A, B = dom.boundary_points(theta[:40, 0]), dom.boundary_points(theta[:40, 1])
+    P = boundary_biased_points(dom, 40, rng)
+    D = point_to_segment_distances(dom, P, A, B)
+    s = np.linspace(0.0, 1.0, 4097)[1:-1, None]
+    for i in range(len(P)):
+        grid = hilbert_distances(dom, np.repeat(P[i:i + 1], len(s), axis=0), A[i] + s * (B[i] - A[i]))
+        assert D[i] <= (1.0 + 1e-12) * grid.min(), i

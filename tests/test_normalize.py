@@ -22,6 +22,7 @@ from hilbertgeom.errors import (
     ImproperImage,
     InsufficientSignal,
     InvalidTriangle,
+    NotOnBoundary,
     PreconditionViolated,
     SingularConstraints,
     StripTooWide,
@@ -78,13 +79,33 @@ def test_boundary_graph_frame_is_tangent_right_handed_and_inward():
 
 def test_boundary_graph_preconditions():
     disk = unit_disk()
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(NotOnBoundary):
         boundary_graph(disk, [0.0, -0.5], 0.3)  # not a boundary point
     with pytest.raises(PreconditionViolated, match="extends below"):
         # within the boundary tolerance, but 4e-8 inside
         boundary_graph(disk, [0.0, -1.0 + 4e-8], 0.3)
     with pytest.raises(StripTooWide):
         boundary_graph(disk, [0.0, -1.0], 1.2)
+
+
+def test_one_on_boundary_rule():
+    # the supporting line, the boundary graph and the ideal triangle share
+    # one tolerance and one error, a PreconditionViolated
+    assert issubclass(NotOnBoundary, PreconditionViolated)
+    disk = unit_disk()
+    tol = 1e-7 * disk.scale()
+    # the disk's gauge at (0, r - 1) is about -2 r
+    near, off = np.array([0.0, -1.0 + 0.45 * tol]), np.array([0.0, -1.0 + 0.55 * tol])
+    checks = (
+        disk.supporting_line,
+        lambda p: ideal_triangle_from_points(disk, [p, [1.0, 0.0], [0.0, 1.0]]),
+        lambda p: boundary_graph(disk, p, 0.3),
+    )
+    for check in checks[:2]:
+        check(near)
+    for check in checks:
+        with pytest.raises(NotOnBoundary):
+            check(off)
 
 
 def _bisected_heights(domain, point, frame, strip):

@@ -186,6 +186,18 @@ def test_boundary_regularity_report_flat_edge():
     assert rep.M == 0.0
 
 
+@pytest.mark.parametrize("point", [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+def test_exit_witnesses_on_every_square_edge(point):
+    # at each edge midpoint the two neighbouring sides are parallel to the
+    # normal, so hundreds of exit-witness samples tie along the tangent; the
+    # witnesses must be the near corners, not the far ones
+    square = Polygon(SQUARE)
+    rep = boundary_regularity_report(square, point)
+    assert rep.non_strictly_convex
+    assert rep.M == 0.0
+    assert np.all(boundary_graph(square, point, 0.25).f == 0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     c2=st.floats(min_value=0.1, max_value=5.0),
